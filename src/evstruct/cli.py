@@ -580,12 +580,13 @@ def run(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (CorpusError, SchemaError, AgreementError, ValueError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    # before ValueError: LinAlgError subclasses it
     except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except (CorpusError, SchemaError, AgreementError, ValueError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def main() -> None:

@@ -10,6 +10,7 @@ predicate first and the earlier enqueued node second.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -313,7 +314,12 @@ def validate_document(doc: DocumentGraph, schema: Schema,
                 f"{doc.doc_id}: property {rec.property} attaches to "
                 f"{spec.attaches_to}, not {kind}")
         _check_value(doc, spec, rec)
-        by_elem_prop[(rec.element, rec.property, rec.annotator)] = rec
+        key = (rec.element, rec.property, rec.annotator)
+        if key in by_elem_prop:
+            raise ConsistencyError(
+                f"{doc.doc_id}: {rec.annotator} answered {rec.property} on "
+                f"{rec.element} more than once")
+        by_elem_prop[key] = rec
     # gated records require a matching parent answer by the same annotator
     for rec in doc.annotations:
         spec = schema[rec.property]
@@ -343,7 +349,8 @@ def _check_value(doc: DocumentGraph, spec, rec: AnnotationRecord) -> None:
             and 1 <= v <= spec.n_levels
     elif spec.response == TEMPORAL:
         ok = isinstance(v, (list, tuple)) and len(v) == 4 \
-            and all(isinstance(x, (int, float)) for x in v)
+            and all(isinstance(x, (int, float)) and math.isfinite(x)
+                    for x in v)
     else:  # pragma: no cover
         ok = False
     if not ok:
@@ -355,6 +362,7 @@ def _check_value(doc: DocumentGraph, spec, rec: AnnotationRecord) -> None:
 def load_corpus(path, schema: Schema,
                 window: Optional[int] = None) -> list[DocumentGraph]:
     docs = []
+    first_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -364,6 +372,11 @@ def load_corpus(path, schema: Schema,
                 doc = DocumentGraph.from_obj(obj)
             except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
                 raise ParseError(str(exc), line=lineno) from exc
+            if doc.doc_id in first_line:
+                raise ConsistencyError(
+                    f"line {lineno}: duplicate document id {doc.doc_id!r} "
+                    f"(first on line {first_line[doc.doc_id]})")
+            first_line[doc.doc_id] = lineno
             validate_document(doc, schema, window=window)
             docs.append(doc)
     return docs

@@ -18,9 +18,9 @@ from scipy.special import logsumexp
 
 from .corpus import DocumentGraph, Node, doc_edge_id, edge_id
 from .params import (  # noqa: F401  (re-exported contract types)
-    ModelParams, PriorParams, TypeInventory, annotation_loglik_types,
+    ModelParams, PriorParams, TypeInventory, _packs_from_params, build_obs,
+    item_logliks,
 )
-from .params import HurdleParams
 from .schema import Schema
 
 _THETA_FLOOR = 1e-12
@@ -63,15 +63,6 @@ class FactorGraph:
     def __post_init__(self):
         if not self.var_index:
             self.var_index = {v.var_id: i for i, v in enumerate(self.variables)}
-
-    def debug_dump(self) -> str:
-        lines = [f"graph {self.doc_id}"]
-        for v in self.variables:
-            lines.append(f"var {v.var_id} kind={v.kind} k={v.k}")
-        for f in self.factors:
-            ids = ",".join(self.variables[i].var_id for i in f.var_idx)
-            lines.append(f"factor {f.factor_id} role={f.role} vars={ids}")
-        return "\n".join(lines)
 
 
 @dataclass
@@ -174,65 +165,26 @@ def build_graph(doc: DocumentGraph, params: ModelParams, schema: Schema,
             (var_index[a], var_index[b], i),
             _log(params.priors.theta_rel[block])))
 
-    graph = FactorGraph(doc.doc_id, variables, factors, var_index)
-    _add_likelihood_factors(graph, doc, params, schema, confidence_weighting)
-    return graph
-
-
-def _record_weight(rec, confidence_weighting: bool) -> float:
-    if not confidence_weighting:
-        return 1.0
-    if rec.ridit_confidence is None:
+    # one unary factor per annotated element: its weighted observation rows
+    # scored under every candidate type by the M-step's item_logliks
+    unknown = {r.element for r in doc.annotations} - doc.element_kinds().keys()
+    if unknown:
         raise ConstructionError(
-            f"annotation {rec.property} on {rec.element} lacks a ridit "
-            f"confidence; ridit score the corpus first")
-    return float(rec.ridit_confidence)
-
-
-def _add_likelihood_factors(graph: FactorGraph, doc: DocumentGraph,
-                            params: ModelParams, schema: Schema,
-                            confidence_weighting: bool) -> None:
-    by_element = doc.annotations_by_element()
-    for element, records in sorted(by_element.items()):
-        idx = graph.var_index.get(element)
-        if idx is None:
-            raise ConstructionError(
-                f"{doc.doc_id}: annotation on element {element!r} which has "
-                f"no variable in the factor graph")
-        var = graph.variables[idx]
-        logpot = np.zeros(var.k)
-        answered = {(r.property, r.annotator): r for r in records}
-        for rec in records:
-            spec = schema[rec.property]
-            pp = params.props[rec.property]
-            w = _record_weight(rec, confidence_weighting)
-            logpot += w * annotation_loglik_types(pp, spec, rec.value,
-                                                  rec.annotator)
-        # absent hurdle outcomes: parent answered away from the gate
-        for spec in _gated_specs(schema, var.kind):
-            parent_name, gate_value = spec.gate
-            for (prop, annotator), parent in answered.items():
-                if prop != parent_name:
-                    continue
-                if bool(parent.value) == gate_value:
-                    continue
-                if (spec.name, annotator) in answered:
-                    continue
-                pp = params.props[spec.name]
-                w = _record_weight(parent, confidence_weighting)
-                logpot += w * annotation_loglik_types(pp, spec, None,
-                                                      annotator, absent=True)
-        if not np.all(np.isfinite(logpot)):
-            raise NumericalError(
-                f"{doc.doc_id}: non-finite annotation potential on {element}")
-        graph.factors.append(Factor(f"lik:{element}", "likelihood",
-                                    (idx,), logpot))
-
-
-def _gated_specs(schema: Schema, kind: str):
-    group_attach = {"event": "predicate-node", "entity": "argument-node",
-                    "role": "predicate-argument-edge", "rel": "document-edge"}
-    return [p for p in schema.for_attach(group_attach[kind]) if p.gated]
+            f"{doc.doc_id}: annotation on element {min(unknown)!r} which is "
+            f"not an element of the document")
+    obs = build_obs([doc], schema, confidence_weighting)
+    packs = _packs_from_params(params, schema, obs.annotators)
+    for kind, elements in obs.elements.items():
+        if not elements:
+            continue
+        lls = item_logliks(packs, obs, schema, kind, inv.k_for(kind))
+        for (_, element), logpot in zip(elements, lls):
+            if not np.all(np.isfinite(logpot)):
+                raise NumericalError(f"{doc.doc_id}: non-finite annotation "
+                                     f"potential on {element}")
+            factors.append(Factor(f"lik:{element}", "likelihood",
+                                  (var_index[element],), logpot))
+    return FactorGraph(doc.doc_id, variables, factors, var_index)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from evstruct.cli import CONFIG_ENV_VAR, EXIT_DATA, EXIT_USAGE, run
+from evstruct import cli
+from evstruct.cli import (
+    CONFIG_ENV_VAR, EXIT_COMPUTE, EXIT_DATA, EXIT_USAGE, run,
+)
 
 
 def sha256(path):
@@ -67,6 +71,32 @@ def test_bad_corpus_is_data_error(tmp_path):
     bad.write_text('{"doc_id": "d0"}\n')
     assert run(["ingest", "--corpus", str(bad),
                 "--out", str(tmp_path / "out")]) == EXIT_DATA
+
+
+def test_duplicate_document_ids_is_data_error(tmp_path, capsys):
+    data = synth(tmp_path / "data")
+    lines = (data / "corpus.jsonl").read_text().splitlines()
+    dup = tmp_path / "dup.jsonl"
+    dup.write_text("\n".join(lines + lines[:1]) + "\n")
+    assert run(["ingest", "--corpus", str(dup), "--schema", "flat",
+                "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert f"line {len(lines) + 1}: duplicate document id" \
+        in capsys.readouterr().err
+
+
+def test_linalg_failure_is_compute_error(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError; it must still report exit 4
+    data = synth(tmp_path / "data")
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "fit", singular)
+    assert run(["fit", "--corpus", str(data / "corpus.jsonl"),
+                "--schema", "flat", "--out", str(tmp_path / "fit"),
+                "--k-event", "2", "--k-entity", "2", "--k-role", "2",
+                "--k-rel", "2"]) == EXIT_COMPUTE
+    assert "compute error: Singular matrix" in capsys.readouterr().err
 
 
 def test_fit_then_posteriors(tmp_path):

@@ -150,6 +150,40 @@ class TestValidation:
         with pytest.raises(ConsistencyError):
             load_corpus(path, SCHEMA)
 
+    def test_duplicate_document_id(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus([make_doc("d0"), make_doc("d1"), make_doc("d0")], path)
+        with pytest.raises(ConsistencyError,
+                           match=r"line 3: duplicate document id 'd0'"):
+            load_corpus(path, SCHEMA)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_temporal_value(self, tmp_path, bad):
+        p0 = Node("p0", "predicate", 0)
+        p1 = Node("p1", "predicate", 1)
+        answer = rec("temporal_relation", [0.0, bad, 1.0, 1.0],
+                     element="p1--p0")
+        doc = DocumentGraph("d0", [Sentence((p0,), (), ()),
+                                   Sentence((p1,), (), ())],
+                            [("p1", "p0")], [answer])
+        path = tmp_path / "c.jsonl"
+        save_corpus([doc], path)
+        with pytest.raises(SchemaError, match="temporal_relation"):
+            load_corpus(path, SCHEMA)
+
+    def test_duplicate_answer(self, tmp_path):
+        doc = make_doc(annotations=[rec("telic", True), rec("telic", False),
+                                    rec("telic", True, ann="b")])
+        path = tmp_path / "c.jsonl"
+        save_corpus([doc], path)
+        with pytest.raises(ConsistencyError, match="telic on p0 more than"):
+            load_corpus(path, SCHEMA)
+        # one answer per annotator is fine
+        doc.annotations = doc.annotations[1:]
+        save_corpus([doc], path)
+        assert len(load_corpus(path, SCHEMA)) == 1
+
 
 class TestRidit:
 

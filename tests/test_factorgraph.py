@@ -11,8 +11,13 @@ from evstruct.corpus import (
 from evstruct.factorgraph import (
     brute_force, build_graph, derive_doc_edges, loopy_bp, window_pairs,
 )
-from evstruct.params import TypeInventory, init_params
-from evstruct.schema import default_schema
+from evstruct.params import (
+    TypeInventory, annotation_loglik_types, init_params,
+)
+from evstruct.schema import (
+    BINARY, CATEGORICAL, ORDINAL, PRED_ARG_EDGE, TEMPORAL, PropertySpec, Schema,
+    default_schema,
+)
 from evstruct.synth import SynthConfig, flat_schema, sample_corpus
 
 SCHEMA = default_schema()
@@ -209,3 +214,72 @@ class TestEvidenceBehavior:
         agree = with_values([True, True, True, True])
         split = with_values([True, False, True, False])
         assert split.evidence < agree.evidence
+
+
+class TestUnaryPotentialOracle:
+    """Every lik: factor equals the sum of the scalar per-annotation
+    log-likelihoods of its element's answers and hurdle-absent outcomes."""
+
+    @staticmethod
+    def oracle(doc, params, schema, confidence_weighting):
+        def weight(r):
+            return r.ridit_confidence if confidence_weighting else 1.0
+
+        kinds = doc.element_kinds()
+        pots, rows = {}, set()
+        for element, records in doc.annotations_by_element().items():
+            total = 0.0
+            for r in records:
+                spec = schema[r.property]
+                total = total + weight(r) * annotation_loglik_types(
+                    params.props[r.property], spec, r.value, r.annotator)
+                rows.add(spec.response)
+                if spec.gated:
+                    rows.add("hurdle-present")
+            answered = {(r.property, r.annotator): r for r in records}
+            for spec in schema.for_attach(kinds[element]):
+                if not spec.gated:
+                    continue
+                parent_name, gate_value = spec.gate
+                for (prop, ann), parent in answered.items():
+                    if prop == parent_name \
+                            and bool(parent.value) != gate_value \
+                            and (spec.name, ann) not in answered:
+                        total = total + weight(parent) * \
+                            annotation_loglik_types(params.props[spec.name],
+                                                    spec, None, ann,
+                                                    absent=True)
+                        rows.add("hurdle-absent")
+            pots[element] = total
+        return pots, rows
+
+    @pytest.mark.parametrize("confidence_weighting", [True, False])
+    def test_lik_factors_match_scalar_sum(self, confidence_weighting):
+        # the default schema plus a categorical role property
+        schema = Schema(SCHEMA.properties + (PropertySpec(
+            "affectedness", "protoroles", PRED_ARG_EDGE, CATEGORICAL,
+            n_categories=3),))
+        cfg = SynthConfig(inventory=INV, schema=schema, n_docs=3,
+                          sentences_per_doc=3, predicates_per_sentence=2,
+                          eventive_prob=0.5, n_annotators=4,
+                          annotators_per_item=3, seed=11, sigma_ann=0.7,
+                          confidence_levels=[0.1, 0.15, 0.2, 0.25, 0.3])
+        docs, _, params = sample_corpus(cfg)
+        prepare_corpus(docs, schema)
+        seen = set()
+        for doc in docs:
+            graph = build_graph(doc, params, schema, window=2,
+                                confidence_weighting=confidence_weighting)
+            expected, rows = self.oracle(doc, params, schema,
+                                         confidence_weighting)
+            seen |= rows
+            lik = {f.factor_id: f for f in graph.factors
+                   if f.role == "likelihood"}
+            assert set(lik) == {f"lik:{e}" for e in expected}
+            for element, pot in expected.items():
+                f = lik[f"lik:{element}"]
+                assert f.var_idx == (graph.var_index[element],)
+                np.testing.assert_allclose(f.logpot, pot, rtol=1e-12,
+                                           atol=1e-12)
+        assert seen == {BINARY, CATEGORICAL, ORDINAL, TEMPORAL,
+                        "hurdle-present", "hurdle-absent"}
