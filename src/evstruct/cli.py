@@ -27,7 +27,9 @@ from .agreement import (
 from .corpus import CorpusError, DocumentGraph, load_corpus, prepare_corpus, save_corpus
 from .factorgraph import NumericalError
 from .learning import FitConfig, e_step, fit
-from .params import TypeInventory, load_params, save_params
+from .params import (
+    CheckpointError, TypeInventory, check_params, load_params, save_params,
+)
 from .schema import Schema, SchemaError, default_schema
 from .selection import SelectionConfig, select_k
 from .synth import SynthConfig, corpus_stats, flat_schema, format_stats, sample_corpus
@@ -115,6 +117,15 @@ def _load_prepared(path, schema, window=None):
            for doc in docs for rec in doc.annotations):
         prepare_corpus(docs, schema)
     return docs
+
+
+def _load_checkpoint(path, schema):
+    try:
+        params = load_params(path)
+        check_params(params, schema)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return params
 
 
 def _split(docs, dev_fraction):
@@ -263,7 +274,7 @@ def _cmd_posteriors(args, config):
     schema = _schema_from_arg(args.schema)
     fc = _fit_config(args, config)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
-    params = load_params(args.checkpoint)
+    params = _load_checkpoint(args.checkpoint, schema)
     posts = e_step(docs, params, schema, fc)
     _dump_json(_posteriors_obj(docs, posts),
                os.path.join(out, "posteriors.json"))
@@ -310,7 +321,7 @@ def _cmd_summarize(args, config):
     out = args.out
     os.makedirs(out, exist_ok=True)
     schema = _schema_from_arg(args.schema)
-    params = load_params(args.checkpoint)
+    params = _load_checkpoint(args.checkpoint, schema)
     threshold = _resolve(args, config, "na-threshold",
                          analysis.DEFAULT_NA_THRESHOLD)
     summary = analysis.summarize_types(params, schema, na_threshold=threshold)
@@ -332,8 +343,10 @@ def _cmd_compare_fits(args, config):
     schema = _schema_from_arg(args.schema)
     fc = _fit_config(args, config)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
-    posts_a = e_step(docs, load_params(args.checkpoint_a), schema, fc)
-    posts_b = e_step(docs, load_params(args.checkpoint_b), schema, fc)
+    posts_a = e_step(docs, _load_checkpoint(args.checkpoint_a, schema),
+                     schema, fc)
+    posts_b = e_step(docs, _load_checkpoint(args.checkpoint_b, schema),
+                     schema, fc)
     mat = analysis.confusion(posts_a, posts_b, args.kind)
     with open(os.path.join(out, "confusion.tsv"), "w") as fh:
         fh.write("\t".join(f"b{t}" for t in range(mat.shape[1])) + "\n")
@@ -352,7 +365,8 @@ def _cmd_entropy(args, config):
     schema = _schema_from_arg(args.schema)
     fc = _fit_config(args, config)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
-    posts = e_step(docs, load_params(args.checkpoint), schema, fc)
+    params = _load_checkpoint(args.checkpoint, schema)
+    posts = e_step(docs, params, schema, fc)
     stats = {}
     for kind in analysis.GROUPS:
         try:
@@ -428,7 +442,8 @@ def _cmd_export_features(args, config):
     schema = _schema_from_arg(args.schema)
     fc = _fit_config(args, config)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
-    posts = e_step(docs, load_params(args.checkpoint), schema, fc)
+    params = _load_checkpoint(args.checkpoint, schema)
+    posts = e_step(docs, params, schema, fc)
     table = analysis.export_features(docs, posts)
     with open(os.path.join(out, "features.tsv"), "w") as fh:
         fh.write("element\trow_kind\t" + "\t".join(table.header) + "\n")

@@ -357,6 +357,13 @@ def _check_value(doc: DocumentGraph, spec, rec: AnnotationRecord) -> None:
         raise SchemaError(
             f"{doc.doc_id}: value {v!r} does not match {spec.response} "
             f"property {spec.name}")
+    if spec.response == TEMPORAL:
+        try:
+            normalize_temporal(v)
+        except DegenerateSpanError as exc:
+            raise ConsistencyError(
+                f"{doc.doc_id}: {spec.name} answer by {rec.annotator} on "
+                f"{rec.element}: {exc}") from exc
 
 
 def load_corpus(path, schema: Schema,

@@ -2,9 +2,11 @@
 confidence-weighted expected log-likelihood, closed-form prior updates, and
 dev-evidence stopping.
 
-The M-step machinery (per-family vectorized objective and gradient
-functions, Adam) is shared with the flat mixture models used for
-type-count selection; the observation tables they read live in params.
+The M-step objective contracts the row log-likelihoods that params
+computes, one vectorized function per response family, with
+responsibility-weighted coefficients: the same rows the E-step scores.
+Its machinery (objective, gradients, Adam) is shared with the flat mixture
+models used for type-count selection.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from . import likelihoods as lk
 from .corpus import DocumentGraph
 from .factorgraph import PosteriorSet, build_graph, loopy_bp
 from .params import (  # noqa: F401  (item_logliks re-exported)
-    BinaryParams, CategoricalParams, HurdleParams, ModelParams, ObsIndex,
-    OrdinalParams, PropTable, TemporalParams, TypeInventory, _Pack,
-    _packs_from_params, build_obs, init_params, item_logliks,
+    ModelParams, ObsIndex, OrdinalParams, PropTable, TypeInventory, _Pack,
+    _leaves, _packs_from_params, _terms, build_obs, init_params, item_logliks,
 )
-from .schema import BINARY, CATEGORICAL, ORDINAL, TEMPORAL, Schema
+from .schema import Schema
 
 _THETA_FLOOR = 1e-10
 
@@ -62,176 +63,49 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# vectorized per-family objective and gradients
-#
-# each returns (objective, grads...) where the objective is
-# sum_n sum_k c[n, k] * loglik_k(row n) for responsibility-weighted rows c.
-
-def _binary_terms(mu, rho_vec, ann, x, c, n_ann):
-    z = mu[None, :] + rho_vec[ann][:, None]
-    ll = x[:, None] * lk.log_sigmoid(z) + (1.0 - x)[:, None] * lk.log_sigmoid(-z)
-    obj = float(np.sum(c * ll))
-    g = x[:, None] - lk.sigmoid(z)
-    cg = c * g
-    dmu = cg.sum(axis=0)
-    drho = np.zeros(n_ann)
-    np.add.at(drho, ann, cg.sum(axis=1))
-    return obj, dmu, drho
-
-
-def _categorical_terms(mu, rho_mat, ann, x, c, n_ann):
-    z = mu[None, :, :] + rho_mat[ann][:, None, :]
-    ls = lk.log_softmax(z, axis=-1)
-    n = len(x)
-    ll = ls[np.arange(n), :, x]
-    obj = float(np.sum(c * ll))
-    g = -np.exp(ls)
-    g[np.arange(n), :, x] += 1.0
-    dmu = np.einsum("nk,nkc->kc", c, g)
-    drho = np.zeros((n_ann, mu.shape[-1]))
-    np.add.at(drho, ann, np.einsum("nk,nkc->nc", c, g))
-    return obj, dmu, drho
-
-
-def _ordinal_terms(mu, cut_raw, rho_mat, ann, j, c, n_ann):
-    """Cumulative linked logit terms; gradients wrt mu, population raw
-    cutpoints, and per-annotator raw offsets."""
-    raw = cut_raw[None, :] + rho_mat            # (A, J-1)
-    cuts = lk.cutpoints_from_raw(raw)           # (A, J-1)
-    J = cuts.shape[1] + 1
-    crow = cuts[ann]                            # (N, J-1)
-    n = len(j)
-    hi_cut = np.where(j < J, crow[np.arange(n), np.minimum(j, J - 1) - 1], 0.0)
-    lo_cut = np.where(j > 1, crow[np.arange(n), np.maximum(j - 2, 0)], 0.0)
-    hi = np.where((j < J)[:, None], lk.sigmoid(hi_cut[:, None] - mu[None, :]), 1.0)
-    lo = np.where((j > 1)[:, None], lk.sigmoid(lo_cut[:, None] - mu[None, :]), 0.0)
-    p = np.maximum(hi - lo, 1e-300)
-    obj = float(np.sum(c * np.log(p)))
-    dhi = np.where((j < J)[:, None], hi * (1.0 - hi), 0.0)
-    dlo = np.where((j > 1)[:, None], lo * (1.0 - lo), 0.0)
-    dmu = np.sum(c * (dlo - dhi) / p, axis=0)
-    # cutpoint-space gradients, scattered per annotator
-    u = np.sum(c * dhi / p, axis=1)             # d/d cut[j-1]
-    l = -np.sum(c * dlo / p, axis=1)            # d/d cut[j-2]
-    dcut = np.zeros((n_ann, J - 1))
-    sel = j < J
-    np.add.at(dcut, (ann[sel], j[sel] - 1), u[sel])
-    sel = j > 1
-    np.add.at(dcut, (ann[sel], j[sel] - 2), l[sel])
-    draw = lk.raw_grad_from_cutpoint_grad(raw, dcut)   # (A, J-1) raw space
-    dcut_raw = draw.sum(axis=0)
-    return obj, dmu, dcut_raw, draw
-
-
-# ---------------------------------------------------------------------------
-# optimized packs written back into params
+# M-step objective over packed arrays, and the packs written back into params
 
 def _params_from_packs(params: ModelParams, schema: Schema,
                        annotators: list[str],
                        packs: dict[str, _Pack]) -> None:
-    def rho_dict(mat, dim):
-        if dim is None:
-            return {a: float(mat[i]) for i, a in enumerate(annotators)}
-        return {a: np.array(mat[i]) for i, a in enumerate(annotators)}
-
     for spec in schema:
-        pp = params.props[spec.name]
         arrays = packs[spec.name].arrays
-
-        def write_base(base, prefix=""):
-            if isinstance(base, BinaryParams):
-                base.mu = arrays[prefix + "mu"]
-                base.rho = rho_dict(arrays[prefix + "rho"], None)
-            elif isinstance(base, CategoricalParams):
-                base.mu = arrays[prefix + "mu"]
-                base.rho = rho_dict(arrays[prefix + "rho"], base.mu.shape[-1])
-            elif isinstance(base, OrdinalParams):
-                base.mu = arrays[prefix + "mu"]
-                base.cut_raw = arrays[prefix + "cut_raw"]
-                base.rho = rho_dict(arrays[prefix + "rho"],
-                                    len(base.cut_raw))
-            elif isinstance(base, TemporalParams):
-                write_base(base.start, prefix + "start.")
-                write_base(base.end, prefix + "end.")
-                write_base(base.order, prefix + "order.")
-
-        if isinstance(pp, HurdleParams):
-            pp.gate_mu = arrays["gate_mu"]
-            pp.gate_rho = rho_dict(arrays["gate_rho"], None)
-            write_base(pp.base)
-        else:
-            write_base(pp)
+        for prefix, owner, attr, width in _leaves(params.props[spec.name]):
+            setattr(owner, attr + "mu", arrays[prefix + "mu"])
+            if isinstance(owner, OrdinalParams):
+                owner.cut_raw = arrays[prefix + "cut_raw"]
+            mat = arrays[prefix + "rho"]
+            setattr(owner, attr + "rho",
+                    {a: float(mat[i]) if width is None else np.array(mat[i])
+                     for i, a in enumerate(annotators)})
 
 
 def _prop_objective(pack: _Pack, table: PropTable, c_all: np.ndarray,
                     n_ann: int):
-    """Objective and gradient dict for one property's observations.
+    """Objective sum(c_all * row_logliks) and its gradient dict for one
+    property's observations, term by term.
 
     c_all: (N, K) responsibility-times-weight coefficients per row."""
-    spec = pack.spec
-    arrays = pack.arrays
-    grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    grads = {name: np.zeros_like(arr) for name, arr in pack.arrays.items()}
     obj = 0.0
-    present = table.present
-    gated = "gate_mu" in arrays
-
-    if gated:
-        x = present.astype(float)
-        o, dmu, drho = _binary_terms(arrays["gate_mu"], arrays["gate_rho"],
-                                     table.ann, x, c_all, n_ann)
-        obj += o
-        grads["gate_mu"] += dmu
-        grads["gate_rho"] += drho
-
-    sel = present if gated else slice(None)
-    ann = table.ann[sel]
-    c = c_all[sel]
-    if np.shape(c)[0] > 0:
-        if spec.response == BINARY:
-            o, dmu, drho = _binary_terms(arrays["mu"], arrays["rho"], ann,
-                                         table.bval[sel], c, n_ann)
-            obj += o
-            grads["mu"] += dmu
-            grads["rho"] += drho
-        elif spec.response == CATEGORICAL:
-            o, dmu, drho = _categorical_terms(arrays["mu"], arrays["rho"], ann,
-                                              table.ival[sel], c, n_ann)
-            obj += o
-            grads["mu"] += dmu
-            grads["rho"] += drho
-        elif spec.response == ORDINAL:
-            o, dmu, dcraw, drho = _ordinal_terms(
-                arrays["mu"], arrays["cut_raw"], arrays["rho"], ann,
-                table.ival[sel], c, n_ann)
-            obj += o
-            grads["mu"] += dmu
-            grads["cut_raw"] += dcraw
-            grads["rho"] += drho
-        elif spec.response == TEMPORAL:
-            codes = table.tval[sel]
-            for block, col in (("start", 0), ("end", 1), ("order", 2)):
-                bsel = codes[:, col] >= 0
-                if not np.any(bsel):
-                    continue
-                o, dmu, drho = _categorical_terms(
-                    arrays[f"{block}.mu"], arrays[f"{block}.rho"],
-                    ann[bsel], codes[bsel, col], c[bsel], n_ann)
-                obj += o
-                grads[f"{block}.mu"] += dmu
-                grads[f"{block}.rho"] += drho
+    for prefix, family, rows, values in _terms(pack, table):
+        c = c_all[rows]
+        ll, g = family(pack.arrays, prefix, table.ann[rows], values, c, n_ann)
+        obj += float(np.sum(c * ll))
+        for name, garr in g.items():
+            grads[name] += garr
     return obj, grads
 
 
 def _penalty_terms(pack: _Pack, params: ModelParams):
     """Gaussian intercept penalties for one property; returns
     (objective, grads-by-array-name)."""
-    pp = params.props[pack.name]
     obj = 0.0
     grads = {}
-
-    def add(name, mat, sigma):
-        nonlocal obj
+    for prefix, owner, attr, _ in _leaves(params.props[pack.name]):
+        name = prefix + "rho"
         mat = pack.arrays[name]
+        sigma = getattr(owner, attr + "sigma")
         if mat.ndim == 1:
             var = float(np.atleast_2d(sigma)[0, 0])
             obj += float(np.sum(-0.5 * mat ** 2 / var
@@ -245,24 +119,6 @@ def _penalty_terms(pack: _Pack, params: ModelParams):
                                 - 0.5 * logdet
                                 - 0.5 * mat.shape[1] * np.log(2 * np.pi)))
             grads[name] = -mat @ inv
-
-    def walk(base, prefix=""):
-        if isinstance(base, BinaryParams):
-            add(prefix + "rho", None, base.sigma)
-        elif isinstance(base, CategoricalParams):
-            add(prefix + "rho", None, base.sigma)
-        elif isinstance(base, OrdinalParams):
-            add(prefix + "rho", None, base.sigma)
-        elif isinstance(base, TemporalParams):
-            walk(base.start, prefix + "start.")
-            walk(base.end, prefix + "end.")
-            walk(base.order, prefix + "order.")
-
-    if isinstance(pp, HurdleParams):
-        add("gate_rho", None, pp.gate_sigma)
-        walk(pp.base)
-    else:
-        walk(pp)
     return obj, grads
 
 
@@ -357,36 +213,25 @@ def optimize_likelihoods(params: ModelParams, schema: Schema, obs: ObsIndex,
     _params_from_packs(params, schema, obs.annotators, packs)
     _update_sigmas(params, schema)
     for pp in params.props.values():
-        base = pp.base if isinstance(pp, HurdleParams) else pp
-        if isinstance(base, OrdinalParams):
-            base.recenter()
+        for _, owner, _, _ in _leaves(pp):
+            if isinstance(owner, OrdinalParams):
+                owner.recenter()
     params.annotators = list(obs.annotators)
     return best_obj
 
 
 def _update_sigmas(params: ModelParams, schema: Schema) -> None:
-    def walk(base):
-        if isinstance(base, (BinaryParams,)):
-            rhos = np.array(list(base.rho.values()), dtype=float)
-            base.sigma = float(lk.update_sigma(rhos[:, None])[0, 0]) \
-                if rhos.size else 1.0
-        elif isinstance(base, (CategoricalParams, OrdinalParams)):
-            if base.rho:
-                base.sigma = lk.update_sigma(np.stack(list(base.rho.values())))
-        elif isinstance(base, TemporalParams):
-            walk(base.start)
-            walk(base.end)
-            walk(base.order)
-
     for spec in schema:
-        pp = params.props[spec.name]
-        if isinstance(pp, HurdleParams):
-            rhos = np.array(list(pp.gate_rho.values()), dtype=float)
-            pp.gate_sigma = float(lk.update_sigma(rhos[:, None])[0, 0]) \
-                if rhos.size else 1.0
-            walk(pp.base)
-        else:
-            walk(pp)
+        for _, owner, attr, width in _leaves(params.props[spec.name]):
+            rho = getattr(owner, attr + "rho")
+            if width is None:
+                rhos = np.array(list(rho.values()), dtype=float)
+                setattr(owner, attr + "sigma",
+                        float(lk.update_sigma(rhos[:, None])[0, 0])
+                        if rhos.size else 1.0)
+            elif rho:
+                setattr(owner, attr + "sigma",
+                        lk.update_sigma(np.stack(list(rho.values()))))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,10 @@ CHECKPOINT_VERSION = 1
 REL_BLOCKS = ("ee", "en")  # event x event, event x entity
 
 
+class CheckpointError(ValueError):
+    """A checkpoint that is malformed or does not fit the schema."""
+
+
 @dataclass(frozen=True)
 class TypeInventory:
     k_event: int
@@ -330,6 +334,28 @@ class _Pack:
     arrays: dict[str, np.ndarray]
 
 
+def _leaves(pp: PropParams):
+    """(array prefix, owner, attribute prefix, rho width) for each
+    mu/rho/sigma block of one property's parameters, gate first; the width
+    is None for scalar intercepts.  Every conversion between the parameter
+    tree and its packed arrays walks this."""
+    if isinstance(pp, HurdleParams):
+        yield "gate_", pp, "gate_", None
+        yield from _leaves(pp.base)
+    elif isinstance(pp, TemporalParams):
+        for block in ("start", "end", "order"):
+            for _, owner, attr, width in _leaves(getattr(pp, block)):
+                yield f"{block}.", owner, attr, width
+    elif isinstance(pp, BinaryParams):
+        yield "", pp, "", None
+    elif isinstance(pp, CategoricalParams):
+        yield "", pp, "", pp.mu.shape[-1]
+    elif isinstance(pp, OrdinalParams):
+        yield "", pp, "", len(pp.cut_raw)
+    else:  # pragma: no cover
+        raise TypeError(type(pp))
+
+
 def _rho_matrix(rho: dict, annotators: list[str], dim: int | None) -> np.ndarray:
     if dim is None:
         out = np.zeros(len(annotators))
@@ -347,93 +373,117 @@ def _packs_from_params(params: ModelParams, schema: Schema,
                        annotators: list[str]) -> dict[str, _Pack]:
     packs = {}
     for spec in schema:
-        pp = params.props[spec.name]
         arrays = {}
-
-        def base_arrays(base, prefix=""):
-            if isinstance(base, BinaryParams):
-                arrays[prefix + "mu"] = np.array(base.mu, dtype=float)
-                arrays[prefix + "rho"] = _rho_matrix(base.rho, annotators, None)
-            elif isinstance(base, CategoricalParams):
-                arrays[prefix + "mu"] = np.array(base.mu, dtype=float)
-                arrays[prefix + "rho"] = _rho_matrix(base.rho, annotators,
-                                                     base.mu.shape[-1])
-            elif isinstance(base, OrdinalParams):
-                arrays[prefix + "mu"] = np.array(base.mu, dtype=float)
-                arrays[prefix + "cut_raw"] = np.array(base.cut_raw, dtype=float)
-                arrays[prefix + "rho"] = _rho_matrix(base.rho, annotators,
-                                                     len(base.cut_raw))
-            elif isinstance(base, TemporalParams):
-                base_arrays(base.start, prefix + "start.")
-                base_arrays(base.end, prefix + "end.")
-                base_arrays(base.order, prefix + "order.")
-            else:  # pragma: no cover
-                raise TypeError(type(base))
-
-        if isinstance(pp, HurdleParams):
-            arrays["gate_mu"] = np.array(pp.gate_mu, dtype=float)
-            arrays["gate_rho"] = _rho_matrix(pp.gate_rho, annotators, None)
-            base_arrays(pp.base)
-        else:
-            base_arrays(pp)
+        for prefix, owner, attr, width in _leaves(params.props[spec.name]):
+            arrays[prefix + "mu"] = np.array(getattr(owner, attr + "mu"),
+                                             dtype=float)
+            if isinstance(owner, OrdinalParams):
+                arrays[prefix + "cut_raw"] = np.array(owner.cut_raw,
+                                                      dtype=float)
+            arrays[prefix + "rho"] = _rho_matrix(getattr(owner, attr + "rho"),
+                                                 annotators, width)
         packs[spec.name] = _Pack(spec.name, spec, arrays)
     return packs
 
 
-def row_logliks(pack: _Pack, table: PropTable, n_ann: int) -> np.ndarray:
+# one vectorized function per response family: the (N, K) log-likelihood
+# of N rows under each of K types; given responsibility-weighted row
+# coefficients c (N, K), also the gradient of sum(c * ll) by array name.
+
+def _binary_terms(arrays, prefix, ann, x, c=None, n_ann=0):
+    z = arrays[prefix + "mu"][None, :] + arrays[prefix + "rho"][ann][:, None]
+    ll = x[:, None] * lk.log_sigmoid(z) + (1.0 - x)[:, None] * lk.log_sigmoid(-z)
+    if c is None:
+        return ll
+    cg = c * (x[:, None] - lk.sigmoid(z))
+    drho = np.zeros(n_ann)
+    np.add.at(drho, ann, cg.sum(axis=1))
+    return ll, {prefix + "mu": cg.sum(axis=0), prefix + "rho": drho}
+
+
+def _categorical_terms(arrays, prefix, ann, x, c=None, n_ann=0):
+    mu = arrays[prefix + "mu"]
+    z = mu[None, :, :] + arrays[prefix + "rho"][ann][:, None, :]
+    ls = lk.log_softmax(z, axis=-1)
+    n = len(x)
+    ll = ls[np.arange(n), :, x]
+    if c is None:
+        return ll
+    g = -np.exp(ls)
+    g[np.arange(n), :, x] += 1.0
+    drho = np.zeros((n_ann, mu.shape[-1]))
+    np.add.at(drho, ann, np.einsum("nk,nkc->nc", c, g))
+    return ll, {prefix + "mu": np.einsum("nk,nkc->kc", c, g),
+                prefix + "rho": drho}
+
+
+def _ordinal_terms(arrays, prefix, ann, j, c=None, n_ann=0):
+    """Cumulative linked logit; gradients wrt mu, population raw cutpoints,
+    and per-annotator raw offsets."""
+    mu = arrays[prefix + "mu"]
+    raw = arrays[prefix + "cut_raw"][None, :] + arrays[prefix + "rho"]
+    cuts = lk.cutpoints_from_raw(raw)           # (A, J-1)
+    J = cuts.shape[1] + 1
+    crow = cuts[ann]                            # (N, J-1)
+    n = len(j)
+    hi_cut = np.where(j < J, crow[np.arange(n), np.minimum(j, J - 1) - 1], 0.0)
+    lo_cut = np.where(j > 1, crow[np.arange(n), np.maximum(j - 2, 0)], 0.0)
+    hi = np.where((j < J)[:, None], lk.sigmoid(hi_cut[:, None] - mu[None, :]), 1.0)
+    lo = np.where((j > 1)[:, None], lk.sigmoid(lo_cut[:, None] - mu[None, :]), 0.0)
+    p = np.maximum(hi - lo, 1e-300)
+    ll = np.log(p)
+    if c is None:
+        return ll
+    dhi = np.where((j < J)[:, None], hi * (1.0 - hi), 0.0)
+    dlo = np.where((j > 1)[:, None], lo * (1.0 - lo), 0.0)
+    # cutpoint-space gradients, scattered per annotator
+    u = np.sum(c * dhi / p, axis=1)             # d/d cut[j-1]
+    l = -np.sum(c * dlo / p, axis=1)            # d/d cut[j-2]
+    dcut = np.zeros((n_ann, J - 1))
+    sel = j < J
+    np.add.at(dcut, (ann[sel], j[sel] - 1), u[sel])
+    sel = j > 1
+    np.add.at(dcut, (ann[sel], j[sel] - 2), l[sel])
+    draw = lk.raw_grad_from_cutpoint_grad(raw, dcut)   # (A, J-1) raw space
+    return ll, {prefix + "mu": np.sum(c * (dlo - dhi) / p, axis=0),
+                prefix + "cut_raw": draw.sum(axis=0), prefix + "rho": draw}
+
+
+def _terms(pack: _Pack, table: PropTable):
+    """(array prefix, family function, rows, values) for each non-empty
+    additive term of one property's row log-likelihood, in summation order:
+    the hurdle gate on every row, the base family on present rows, and each
+    temporal block (start, end, order) on the rows that carry it.
+
+    Rows are slice(None) where a term covers every row, so callers index
+    views rather than copies."""
+    rows = slice(None)
+    if "gate_mu" in pack.arrays:
+        yield "gate_", _binary_terms, rows, table.present.astype(float)
+        rows = table.present
+        if not rows.any():
+            return
+    if pack.spec.response == TEMPORAL:
+        for col, block in enumerate(("start", "end", "order")):
+            bsel = table.tval[:, col] >= 0     # -1 on unused and absent rows
+            if bsel.any():
+                yield (f"{block}.", _categorical_terms, bsel,
+                       table.tval[bsel, col])
+    elif pack.spec.response == BINARY:
+        yield "", _binary_terms, rows, table.bval[rows]
+    elif pack.spec.response == CATEGORICAL:
+        yield "", _categorical_terms, rows, table.ival[rows]
+    else:
+        yield "", _ordinal_terms, rows, table.ival[rows]
+
+
+def row_logliks(pack: _Pack, table: PropTable) -> np.ndarray:
     """(N, K) log-likelihood of every observation row under each type,
     including hurdle gate terms on present and absent rows."""
-    spec = pack.spec
-    arrays = pack.arrays
-    gated = "gate_mu" in arrays
-    n = len(table.elem)
-    k = arrays["gate_mu" if gated else
-               ("start.mu" if spec.response == TEMPORAL else "mu")].shape[0]
-    ll = np.zeros((n, k))
-    if gated:
-        z = arrays["gate_mu"][None, :] + arrays["gate_rho"][table.ann][:, None]
-        x = table.present.astype(float)[:, None]
-        ll += x * lk.log_sigmoid(z) + (1.0 - x) * lk.log_sigmoid(-z)
-    sel = table.present if gated else np.ones(n, dtype=bool)
-    if not np.any(sel):
-        return ll
-    ann = table.ann[sel]
-    if spec.response == BINARY:
-        z = arrays["mu"][None, :] + arrays["rho"][ann][:, None]
-        x = table.bval[sel][:, None]
-        ll[sel] += x * lk.log_sigmoid(z) + (1.0 - x) * lk.log_sigmoid(-z)
-    elif spec.response == CATEGORICAL:
-        z = arrays["mu"][None, :, :] + arrays["rho"][ann][:, None, :]
-        ls = lk.log_softmax(z, axis=-1)
-        ll[sel] += ls[np.arange(len(ann)), :, table.ival[sel]]
-    elif spec.response == ORDINAL:
-        mu = arrays["mu"]
-        raw = arrays["cut_raw"][None, :] + arrays["rho"]
-        cuts = lk.cutpoints_from_raw(raw)
-        J = cuts.shape[1] + 1
-        j = table.ival[sel]
-        crow = cuts[ann]
-        m = len(j)
-        hi_cut = np.where(j < J, crow[np.arange(m), np.minimum(j, J - 1) - 1],
-                          0.0)
-        lo_cut = np.where(j > 1, crow[np.arange(m), np.maximum(j - 2, 0)], 0.0)
-        hi = np.where((j < J)[:, None],
-                      lk.sigmoid(hi_cut[:, None] - mu[None, :]), 1.0)
-        lo = np.where((j > 1)[:, None],
-                      lk.sigmoid(lo_cut[:, None] - mu[None, :]), 0.0)
-        ll[sel] += np.log(np.maximum(hi - lo, 1e-300))
-    elif spec.response == TEMPORAL:
-        codes = table.tval[sel]
-        add = np.zeros((len(ann), k))
-        for block, col in (("start", 0), ("end", 1), ("order", 2)):
-            bsel = codes[:, col] >= 0
-            if not np.any(bsel):
-                continue
-            z = arrays[f"{block}.mu"][None, :, :] \
-                + arrays[f"{block}.rho"][ann[bsel]][:, None, :]
-            ls = lk.log_softmax(z, axis=-1)
-            add[bsel] += ls[np.arange(int(bsel.sum())), :, codes[bsel, col]]
-        ll[sel] += add
+    k = next(iter(pack.arrays.values())).shape[0]   # the first leaf's mu
+    ll = np.zeros((len(table.elem), k))
+    for prefix, family, rows, values in _terms(pack, table):
+        ll[rows] += family(pack.arrays, prefix, table.ann[rows], values)
     return ll
 
 
@@ -443,12 +493,11 @@ def item_logliks(packs: dict[str, _Pack], obs: ObsIndex, schema: Schema,
     Row weights were fixed when the observation index was built."""
     n_items = len(obs.elements[kind])
     out = np.zeros((n_items, k))
-    n_ann = len(obs.annotators)
     for spec in schema.group(kind):
         table = obs.tables[spec.name]
         if len(table.elem) == 0:
             continue
-        ll = row_logliks(packs[spec.name], table, n_ann)
+        ll = row_logliks(packs[spec.name], table)
         np.add.at(out, table.elem, table.weight[:, None] * ll)
     return out
 
@@ -526,33 +575,42 @@ def _prop_obj(pp: PropParams) -> dict:
     raise TypeError(type(pp))  # pragma: no cover
 
 
-def _prop_from_obj(obj: dict) -> PropParams:
-    fam = obj["family"]
+def _get(obj, path: str, key: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise CheckpointError(
+            f"checkpoint lacks {path + '.' if path else ''}{key}")
+    return obj[key]
+
+
+def _prop_from_obj(obj: dict, path: str) -> PropParams:
+    def get(key):
+        return _get(obj, path, key)
+
+    fam = get("family")
     if fam == "binary":
-        return BinaryParams(mu=np.asarray(obj["mu"]),
-                            rho={a: float(v) for a, v in obj["rho"].items()},
-                            sigma=float(obj["sigma"]))
+        return BinaryParams(mu=np.asarray(get("mu")),
+                            rho={a: float(v) for a, v in get("rho").items()},
+                            sigma=float(get("sigma")))
     if fam == "categorical":
         return CategoricalParams(
-            mu=np.asarray(obj["mu"]),
-            rho={a: np.asarray(v) for a, v in obj["rho"].items()},
-            sigma=np.asarray(obj["sigma"]))
+            mu=np.asarray(get("mu")),
+            rho={a: np.asarray(v) for a, v in get("rho").items()},
+            sigma=np.asarray(get("sigma")))
     if fam == "ordinal":
         return OrdinalParams(
-            mu=np.asarray(obj["mu"]), cut_raw=np.asarray(obj["cut_raw"]),
-            rho={a: np.asarray(v) for a, v in obj["rho"].items()},
-            sigma=np.asarray(obj["sigma"]))
+            mu=np.asarray(get("mu")), cut_raw=np.asarray(get("cut_raw")),
+            rho={a: np.asarray(v) for a, v in get("rho").items()},
+            sigma=np.asarray(get("sigma")))
     if fam == "hurdle":
         return HurdleParams(
-            gate_mu=np.asarray(obj["gate_mu"]),
-            gate_rho={a: float(v) for a, v in obj["gate_rho"].items()},
-            gate_sigma=float(obj["gate_sigma"]),
-            base=_prop_from_obj(obj["base"]))
+            gate_mu=np.asarray(get("gate_mu")),
+            gate_rho={a: float(v) for a, v in get("gate_rho").items()},
+            gate_sigma=float(get("gate_sigma")),
+            base=_prop_from_obj(get("base"), path + ".base"))
     if fam == "temporal":
-        return TemporalParams(start=_prop_from_obj(obj["start"]),
-                              end=_prop_from_obj(obj["end"]),
-                              order=_prop_from_obj(obj["order"]))
-    raise ValueError(fam)
+        return TemporalParams(*(_prop_from_obj(get(b), f"{path}.{b}")
+                                for b in ("start", "end", "order")))
+    raise CheckpointError(f"{path}.family: unknown family {fam!r}")
 
 
 def params_to_obj(params: ModelParams) -> dict:
@@ -577,18 +635,52 @@ def params_to_obj(params: ModelParams) -> dict:
 def params_from_obj(obj: dict) -> ModelParams:
     if obj.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {obj.get('version')}")
-    inv = TypeInventory(**obj["inventory"])
-    pr = obj["priors"]
+    inv_obj = _get(obj, "", "inventory")
+    inv = TypeInventory(*(_get(inv_obj, "inventory", name) for name in
+                          ("k_event", "k_entity", "k_role", "k_rel")))
+    pr = _get(obj, "", "priors")
+    rel = _get(pr, "priors", "theta_rel")
     priors = PriorParams(
-        theta_event=np.asarray(pr["theta_event"]),
-        theta_entity=np.asarray(pr["theta_entity"]),
-        theta_role=np.asarray(pr["theta_role"]),
+        theta_event=np.asarray(_get(pr, "priors", "theta_event")),
+        theta_entity=np.asarray(_get(pr, "priors", "theta_entity")),
+        theta_role=np.asarray(_get(pr, "priors", "theta_role")),
         # older checkpoints also hold an unused entity x entity block
-        theta_rel={b: np.asarray(pr["theta_rel"][b]) for b in REL_BLOCKS},
+        theta_rel={b: np.asarray(_get(rel, "priors.theta_rel", b))
+                   for b in REL_BLOCKS},
     )
-    props = {name: _prop_from_obj(p) for name, p in obj["props"].items()}
+    props = {name: _prop_from_obj(p, f"props.{name}")
+             for name, p in _get(obj, "", "props").items()}
     return ModelParams(inventory=inv, priors=priors, props=props,
                        annotators=list(obj.get("annotators", [])))
+
+
+_FAMILY = {BinaryParams: BINARY, CategoricalParams: CATEGORICAL,
+           OrdinalParams: ORDINAL, TemporalParams: TEMPORAL}
+
+
+def check_params(params: ModelParams, schema: Schema) -> None:
+    """Raise CheckpointError naming the first schema property that params
+    lack, hold under another response family or hurdle gating, or size for
+    another type count than the inventory's."""
+    for spec in schema:
+        pp = params.props.get(spec.name)
+        if pp is None:
+            raise CheckpointError(
+                f"checkpoint has no parameters for property {spec.name}")
+        gated = isinstance(pp, HurdleParams)
+        family = _FAMILY.get(type(pp.base if gated else pp))
+        if (gated, family) != (spec.gated, spec.response):
+            raise CheckpointError(
+                f"checkpoint property {spec.name} is "
+                f"{'gated ' if gated else ''}{family}; the schema declares "
+                f"{'gated ' if spec.gated else ''}{spec.response}")
+        k = params.inventory.k_for(spec.group)
+        for prefix, owner, attr, _ in _leaves(pp):
+            shape = np.shape(getattr(owner, attr + "mu"))
+            if shape[:1] != (k,):
+                raise CheckpointError(
+                    f"checkpoint property {spec.name}: {prefix}mu has shape "
+                    f"{shape}, but the inventory has {k} {spec.group} types")
 
 
 def save_params(params: ModelParams, path) -> None:

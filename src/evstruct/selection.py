@@ -45,10 +45,7 @@ class MixtureFit:
     train_loglik: float
 
     def responsibilities(self, obs: ObsIndex, schema: Schema) -> np.ndarray:
-        packs = _packs_from_params(self.params, _sub_schema(schema, self.kind),
-                                   obs.annotators)
-        ll = item_logliks(packs, obs, schema, self.kind, self.k)
-        logr = self.log_pi[None, :] + ll
+        logr = _log_joint(self.params, self.log_pi, obs, schema, self.kind)
         return np.exp(logr - logsumexp(logr, axis=1, keepdims=True))
 
 
@@ -86,6 +83,16 @@ def _sub_schema(schema: Schema, kind: str) -> Schema:
     return Schema(tuple(schema.group(kind)))
 
 
+def _log_joint(params: ModelParams, log_pi: np.ndarray, obs: ObsIndex,
+               schema: Schema, kind: str) -> np.ndarray:
+    """(n_items, K) mixture log-joint: log pi plus each item's weighted
+    log-likelihood under every component."""
+    packs = _packs_from_params(params, _sub_schema(schema, kind),
+                               obs.annotators)
+    return log_pi[None, :] + item_logliks(packs, obs, schema, kind,
+                                          len(log_pi))
+
+
 def _inventory_for(kind: str, k: int) -> TypeInventory:
     counts = {"event": 1, "entity": 1, "role": 1, "rel": 1}
     counts[kind] = k
@@ -116,9 +123,7 @@ def fit_mixture(train: list[DocumentGraph], kind: str, k: int, schema: Schema,
         log_pi = np.full(k, -np.log(k))
         train_ll = -np.inf
         for _ in range(config.em_iters):
-            packs = _packs_from_params(params, sub, obs.annotators)
-            ll = item_logliks(packs, obs, schema, kind, k)
-            logr = log_pi[None, :] + ll
+            logr = _log_joint(params, log_pi, obs, schema, kind)
             logz = logsumexp(logr, axis=1, keepdims=True)
             train_ll = float(logz.sum())
             resp = np.exp(logr - logz)
@@ -134,10 +139,8 @@ def mixture_dev_evidence(fit: MixtureFit, dev: list[DocumentGraph],
                          schema: Schema, config: SelectionConfig) -> np.ndarray:
     """Exact per-item log-evidence of held-out elements under the mixture."""
     obs = build_obs(dev, schema, config.fit.confidence_weighting)
-    sub = _sub_schema(schema, fit.kind)
-    packs = _packs_from_params(fit.params, sub, obs.annotators)
-    ll = item_logliks(packs, obs, schema, fit.kind, fit.k)
-    return logsumexp(fit.log_pi[None, :] + ll, axis=1)
+    return logsumexp(_log_joint(fit.params, fit.log_pi, obs, schema,
+                                fit.kind), axis=1)
 
 
 def bootstrap_diff_ci(per_item_ev_a: np.ndarray, per_item_ev_b: np.ndarray,

@@ -99,6 +99,32 @@ def test_linalg_failure_is_compute_error(tmp_path, monkeypatch, capsys):
     assert "compute error: Singular matrix" in capsys.readouterr().err
 
 
+def _broken_checkpoint(tmp_path, edit):
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "3", "--seed", "1",
+                "--k-event", "3", "--k-entity", "2", "--k-role", "2",
+                "--k-rel", "2"]) == 0
+    obj = json.loads((data / "true_params.json").read_text())
+    edit(obj["props"]["telic"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    return data, bad
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.pop("mu"), "props.telic.mu"),
+    (lambda p: p.update(mu=p["mu"][:2]), "telic"),
+], ids=["missing-key", "wrong-k"])
+def test_malformed_checkpoint_is_data_error(tmp_path, capsys, edit, message):
+    data, bad = _broken_checkpoint(tmp_path, edit)
+    capsys.readouterr()
+    assert run(["posteriors", "--corpus", str(data / "corpus.jsonl"),
+                "--checkpoint", str(bad), "--out",
+                str(tmp_path / "post")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err
+
+
 def test_fit_then_posteriors(tmp_path):
     data = synth(tmp_path / "data")
     fitdir = tmp_path / "fit"

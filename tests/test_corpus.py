@@ -172,6 +172,23 @@ class TestValidation:
         with pytest.raises(SchemaError, match="temporal_relation"):
             load_corpus(path, SCHEMA)
 
+    @pytest.mark.parametrize("span, reason", [
+        ([5.0, 0.0, 1.0, 1.0], "inverted span"),
+        ([2.0, 2.0, 2.0, 2.0], "all four values coincide")])
+    def test_degenerate_temporal_span(self, tmp_path, span, reason):
+        p0 = Node("p0", "predicate", 0)
+        p1 = Node("p1", "predicate", 1)
+        answer = rec("temporal_relation", span, ann="b", element="p1--p0")
+        doc = DocumentGraph("d7", [Sentence((p0,), (), ()),
+                                   Sentence((p1,), (), ())],
+                            [("p1", "p0")], [answer])
+        path = tmp_path / "c.jsonl"
+        save_corpus([doc], path)
+        with pytest.raises(ConsistencyError) as exc:
+            load_corpus(path, SCHEMA)
+        for part in ("d7", "p1--p0", "temporal_relation", "b", reason):
+            assert part in str(exc.value)
+
     def test_duplicate_answer(self, tmp_path):
         doc = make_doc(annotations=[rec("telic", True), rec("telic", False),
                                     rec("telic", True, ann="b")])

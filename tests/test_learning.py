@@ -165,3 +165,97 @@ def test_empty_train_raises():
     _, _, _, cfg = make_fit_corpus(n_docs=4)
     with pytest.raises(ValueError):
         fit([], [], cfg.inventory, cfg.schema, FitConfig())
+
+
+class TestMStepOracle:
+    """The production M-step objective and gradients against finite
+    differences, and the objective against the E-step's row log-likelihoods,
+    on every response family, hurdle-present and hurdle-absent rows."""
+
+    H = 1e-6
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from evstruct.schema import CATEGORICAL, PRED_ARG_EDGE
+        schema = Schema(default_schema().properties + (PropertySpec(
+            "affectedness", "protoroles", PRED_ARG_EDGE, CATEGORICAL,
+            n_categories=3),))
+        cfg = SynthConfig(inventory=TypeInventory(3, 2, 2, 2), schema=schema,
+                          n_docs=3, sentences_per_doc=3,
+                          predicates_per_sentence=2, eventive_prob=0.5,
+                          n_annotators=3, annotators_per_item=2, seed=5,
+                          sigma_ann=0.7,
+                          confidence_levels=[0.1, 0.15, 0.2, 0.25, 0.3])
+        docs, _, params = sample_corpus(cfg)
+        prepare_corpus(docs, schema)
+        obs = build_obs(docs, schema, confidence_weighting=True)
+        packs = _packs_from_params(params, schema, obs.annotators)
+        rng = np.random.default_rng(0)
+        coeffs = {name: rng.uniform(0.1, 1.0, size=(
+            len(table.elem), params.inventory.k_for(table.spec.group)))
+            for name, table in obs.tables.items()}
+        return schema, params, obs, packs, coeffs
+
+    def check_grads(self, arrays, grads, objective):
+        for name, arr in arrays.items():
+            fd = np.zeros_like(arr)
+            for i in range(arr.size):
+                orig = arr.flat[i]
+                arr.flat[i] = orig + self.H
+                up = objective()
+                arr.flat[i] = orig - self.H
+                dn = objective()
+                arr.flat[i] = orig
+                fd.flat[i] = (up - dn) / (2 * self.H)
+            scale = max(1.0, float(np.max(np.abs(grads[name]))))
+            assert np.max(np.abs(fd - grads[name])) <= 1e-6 * scale, name
+
+    def test_rows_cover_every_family(self, setup):
+        schema, params, obs, packs, _ = setup
+        families = {spec.response for spec in schema
+                    if len(obs.tables[spec.name].elem)}
+        assert families == {"binary", "categorical", "ordinal",
+                            "temporal-tuple"}
+        gated = [obs.tables[s.name] for s in schema if s.gated]
+        # hurdle-absent and hurdle-present rows
+        assert any(not t.present.all() for t in gated)
+        assert any(t.present.any() for t in gated)
+        for pack in packs.values():
+            for name, arr in pack.arrays.items():
+                if "rho" in name:
+                    assert np.all(arr != 0.0), (pack.name, name)
+
+    def test_objective_gradients_match_finite_differences(self, setup):
+        _, _, obs, packs, coeffs = setup
+        n_ann = len(obs.annotators)
+        for name, pack in packs.items():
+            table = obs.tables[name]
+            if len(table.elem) == 0:
+                continue
+            _, grads = _prop_objective(pack, table, coeffs[name], n_ann)
+            assert set(grads) == set(pack.arrays)
+            self.check_grads(pack.arrays, grads, lambda: _prop_objective(
+                pack, table, coeffs[name], n_ann)[0])
+
+    def test_penalty_gradients_match_finite_differences(self, setup):
+        from evstruct.learning import _penalty_terms
+        _, params, _, packs, _ = setup
+        for pack in packs.values():
+            _, grads = _penalty_terms(pack, params)
+            assert grads and all("rho" in n for n in grads)
+            rhos = {n: pack.arrays[n] for n in grads}
+            self.check_grads(rhos, grads,
+                             lambda: _penalty_terms(pack, params)[0])
+
+    def test_objective_contracts_row_logliks(self, setup):
+        from evstruct.params import row_logliks
+        _, _, obs, packs, coeffs = setup
+        n_ann = len(obs.annotators)
+        for name, pack in packs.items():
+            table = obs.tables[name]
+            if len(table.elem) == 0:
+                continue
+            obj, _ = _prop_objective(pack, table, coeffs[name], n_ann)
+            expected = float(np.sum(coeffs[name]
+                                    * row_logliks(pack, table)))
+            assert obj == pytest.approx(expected, rel=1e-12, abs=1e-12)
