@@ -61,7 +61,8 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir, subcommand, config, inputs, seed, started) -> None:
+def _write_manifest(out_dir, subcommand, config, inputs, seed, started,
+                    bp=None) -> None:
     manifest = {
         "subcommand": subcommand,
         "config": config,
@@ -70,7 +71,28 @@ def _write_manifest(out_dir, subcommand, config, inputs, seed, started) -> None:
         "version": __version__,
         "duration_seconds": round(time.time() - started, 3),
     }
+    if bp is not None:
+        manifest["bp"] = bp
     _dump_json(manifest, os.path.join(out_dir, "manifest.json"))
+
+
+def _bp_record(docs, *post_lists) -> dict:
+    """BP convergence over the E-steps whose posteriors the outputs use."""
+    posts = [(doc, p) for lst in post_lists for doc, p in zip(docs, lst)]
+    return {"documents": len(docs),
+            "unconverged": sorted({doc.doc_id for doc, p in posts
+                                   if not p.converged}),
+            "max_iterations": max((p.iterations for _, p in posts),
+                                  default=0)}
+
+
+def _read_input(load, path, *args, **kwargs):
+    """load(path, ...); a missing or unreadable input file is a data error."""
+    try:
+        return load(path, *args, **kwargs)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}",
+                       EXIT_DATA) from None
 
 
 def _load_config_file(path):
@@ -108,11 +130,11 @@ def _schema_from_arg(value) -> Schema:
         return default_schema()
     if value == "flat":
         return flat_schema()
-    return Schema.load(value)
+    return _read_input(Schema.load, value)
 
 
 def _load_prepared(path, schema, window=None):
-    docs = load_corpus(path, schema, window=window)
+    docs = _read_input(load_corpus, path, schema, window=window)
     if any(rec.ridit_confidence is None
            for doc in docs for rec in doc.annotations):
         prepare_corpus(docs, schema)
@@ -121,7 +143,7 @@ def _load_prepared(path, schema, window=None):
 
 def _load_checkpoint(path, schema):
     try:
-        params = load_params(path)
+        params = _read_input(load_params, path)
         check_params(params, schema)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
@@ -214,7 +236,7 @@ def _cmd_ingest(args, config):
     os.makedirs(out, exist_ok=True)
     schema = _schema_from_arg(args.schema)
     window = _resolve(args, config, "window", 2)
-    docs = load_corpus(args.corpus, schema, window=window)
+    docs = _read_input(load_corpus, args.corpus, schema, window=window)
     prepare_corpus(docs, schema)
     save_corpus(docs, os.path.join(out, "corpus.jsonl"))
     with open(os.path.join(out, "stats.txt"), "w") as fh:
@@ -253,7 +275,8 @@ def _cmd_fit(args, config):
                 "k-role": inv.k_role, "k-rel": inv.k_rel}
     inputs = [args.corpus] + ([args.dev] if args.dev else []) \
         + _schema_input(args.schema)
-    _write_manifest(out, "fit", resolved, inputs, fc.seed, started)
+    _write_manifest(out, "fit", resolved, inputs, fc.seed, started,
+                    bp=_bp_record(train, result.posteriors))
     return 0
 
 
@@ -282,7 +305,7 @@ def _cmd_posteriors(args, config):
                     {"window": fc.window, "threads": fc.threads},
                     [args.corpus, args.checkpoint]
                     + _schema_input(args.schema),
-                    fc.seed, started)
+                    fc.seed, started, bp=_bp_record(docs, posts))
     return 0
 
 
@@ -354,7 +377,7 @@ def _cmd_compare_fits(args, config):
             fh.write("\t".join(repr(float(v)) for v in row) + "\n")
     _write_manifest(out, "compare-fits", {"kind": args.kind},
                     [args.corpus, args.checkpoint_a, args.checkpoint_b],
-                    fc.seed, started)
+                    fc.seed, started, bp=_bp_record(docs, posts_a, posts_b))
     return 0
 
 
@@ -376,7 +399,7 @@ def _cmd_entropy(args, config):
         stats[kind] = {"mean": mean, "median": median}
     _dump_json(stats, os.path.join(out, "entropy.json"))
     _write_manifest(out, "entropy", {}, [args.corpus, args.checkpoint],
-                    fc.seed, started)
+                    fc.seed, started, bp=_bp_record(docs, posts))
     return 0
 
 
@@ -410,7 +433,7 @@ def _cmd_agreement(args, config):
     started = time.time()
     out = args.out
     os.makedirs(out, exist_ok=True)
-    table = _read_reliability(args.table)
+    table = _read_input(_read_reliability, args.table)
     metric = _resolve(args, config, "metric", "nominal")
     point = krippendorff_alpha(table, metric)
     result = {"metric": metric,
@@ -451,7 +474,8 @@ def _cmd_export_features(args, config):
             fh.write(f"{element}\t{row_kind}\t"
                      + "\t".join(repr(float(v)) for v in vec) + "\n")
     _write_manifest(out, "export-features", {},
-                    [args.corpus, args.checkpoint], fc.seed, started)
+                    [args.corpus, args.checkpoint], fc.seed, started,
+                    bp=_bp_record(docs, posts))
     return 0
 
 

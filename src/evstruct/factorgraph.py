@@ -58,11 +58,7 @@ class FactorGraph:
     doc_id: str
     variables: list[Variable]
     factors: list[Factor]
-    var_index: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.var_index:
-            self.var_index = {v.var_id: i for i, v in enumerate(self.variables)}
+    var_index: dict[str, int]
 
 
 @dataclass
@@ -180,120 +176,145 @@ def build_graph(doc: DocumentGraph, params: ModelParams, schema: Schema,
         lls = item_logliks(packs, obs, schema, kind, inv.k_for(kind))
         for (_, element), logpot in zip(elements, lls):
             if not np.all(np.isfinite(logpot)):
-                raise NumericalError(f"{doc.doc_id}: non-finite annotation "
-                                     f"potential on {element}")
+                raise NumericalError(f"document {doc.doc_id}: non-finite "
+                                     f"potential in factor lik:{element}")
             factors.append(Factor(f"lik:{element}", "likelihood",
                                   (var_index[element],), logpot))
     return FactorGraph(doc.doc_id, variables, factors, var_index)
 
 
 # ---------------------------------------------------------------------------
-# sum-product loopy belief propagation
+# sum-product loopy belief propagation, batched over documents
 
-def _normalize_log(m: np.ndarray) -> np.ndarray:
-    return m - np.max(m)
+def _expand(m, pos, arity):
+    """(rows, k) messages broadcast along table axis pos."""
+    return np.expand_dims(m, tuple(ax + 1 for ax in range(arity) if ax != pos))
+
+
+def _lse(x, axes):
+    """log-sum-exp over axes, shifted by the maximum."""
+    mx = x.max(axis=axes, keepdims=True)
+    return np.log(np.exp(x - mx).sum(axis=axes)) + np.squeeze(mx, axis=axes)
+
+
+def _joint(logpot, msgs):
+    for pos, m in enumerate(msgs):
+        logpot = logpot + _expand(m, pos, len(msgs))
+    return logpot
+
+
+def loopy_bp_batch(graphs: list[FactorGraph], max_iters: int = 200,
+                   damping: float = 0.1, tol: float = 1e-8
+                   ) -> list[PosteriorSet]:
+    """Synchronous flooding sum-product in log space over many graphs.
+
+    Factors of every graph are grouped by table shape, with messages in
+    flat arrays of edge states (one per factor, position and state) laid
+    out in graph, factor, position order: a bincount then adds each
+    variable's incoming messages in the order its factors appear.  A graph
+    is frozen the iteration its largest damped message change drops below
+    tol, so each keeps its own iteration count and converged flag.
+    Marginals come from normalized message products; evidence is the Bethe
+    free energy, exact on acyclic graphs.
+    """
+    n_docs = len(graphs)
+    var_k = np.array([v.k for g in graphs for v in g.variables], dtype=int)
+    var_doc = np.repeat(np.arange(n_docs), [len(g.variables) for g in graphs])
+    base = np.cumsum([0] + [len(g.variables) for g in graphs])
+    shapes, edge_var = {}, []
+    for d, graph in enumerate(graphs):
+        for f in graph.factors:
+            shapes.setdefault(f.logpot.shape, []).append((d, f, len(edge_var)))
+            edge_var += [base[d] + vi for vi in f.var_idx]
+    edge_var = np.array(edge_var, dtype=int)
+    var_off = np.cumsum(var_k) - var_k
+    edge_k = var_k[edge_var]
+    edge_off = np.cumsum(edge_k) - edge_k
+    n_states = int(var_k.sum())
+    es2vs = np.repeat(var_off[edge_var] - edge_off, edge_k) \
+        + np.arange(int(edge_k.sum()))
+    # per shape: (graph, factor) per row, row graphs, tables, and the
+    # (rows, k) edge-state indices of each table position
+    groups = []
+    for shape, rows in shapes.items():
+        first = np.array([e for _, _, e in rows], dtype=int)
+        groups.append(([(d, f) for d, f, _ in rows],
+                       np.array([d for d, _, _ in rows], dtype=int),
+                       np.stack([f.logpot for _, f, _ in rows]),
+                       [edge_off[first + p][:, None] + np.arange(k)
+                        for p, k in enumerate(shape)]))
+
+    f2v, v2f = np.zeros(len(es2vs)), np.zeros(len(es2vs))
+    iterations = np.zeros(n_docs, dtype=int)
+    converged = np.zeros(n_docs, dtype=bool)
+    for iteration in range(1, max_iters + 1):
+        if converged.all():
+            break
+        iterations[~converged] = iteration
+        total = np.bincount(es2vs, weights=f2v, minlength=n_states)
+        moved = np.zeros(n_docs, dtype=bool)
+        for factors, doc, logpot, ess in groups:
+            rows = np.flatnonzero(~converged[doc])      # unfrozen factors
+            logpot, ess = logpot[rows], [es[rows] for es in ess]
+            msgs = [total[es2vs[es]] - f2v[es] for es in ess]
+            msgs = [m - m.max(axis=1, keepdims=True) for m in msgs]
+            arity = len(msgs)
+            if arity == 1:
+                cands = [logpot - logpot.max(axis=1, keepdims=True)]
+            else:
+                acc = _joint(logpot, msgs)
+                cands = [_lse(acc - _expand(m, pos, arity),
+                              tuple(ax + 1 for ax in range(arity) if ax != pos))
+                         for pos, m in enumerate(msgs)]
+                cands = [c - c.max(axis=1, keepdims=True) for c in cands]
+            for es, m, cand in zip(ess, msgs, cands):
+                bad = ~np.isfinite(cand).all(axis=1)
+                if bad.any():
+                    d, f = factors[rows[np.argmax(bad)]]
+                    raise NumericalError(
+                        f"document {graphs[d].doc_id}: non-finite message "
+                        f"from factor {f.factor_id}")
+                old = f2v[es]
+                msg = (1 - damping) * cand + damping * old
+                moved[doc[rows[np.abs(msg - old).max(axis=1) >= tol]]] = True
+                f2v[es], v2f[es] = msg, m
+        converged |= ~moved
+
+    # variable beliefs: one segment of the flat state array per variable
+    total = np.bincount(es2vs, weights=f2v, minlength=n_states)
+    b = np.exp(total - np.repeat(np.maximum.reduceat(total, var_off), var_k))
+    b /= np.repeat(np.add.reduceat(b, var_off), var_k)
+    entropy = -np.add.reduceat(b * np.log(np.where(b > 0, b, 1.0)), var_off)
+    degree = np.bincount(edge_var, minlength=len(var_k))
+    evidence = -np.bincount(var_doc, weights=(degree - 1.0) * entropy,
+                            minlength=n_docs)
+    beliefs = [{f.factor_id: None for f in g.factors if f.role == "prior"}
+               for g in graphs]
+    for factors, doc, logpot, ess in groups:
+        axes = tuple(range(1, len(ess) + 1))
+        acc = _joint(logpot, [v2f[es] for es in ess])
+        bf = np.exp(acc - acc.max(axis=axes, keepdims=True))
+        bf /= bf.sum(axis=axes, keepdims=True)
+        terms = np.where(bf > 0, bf * logpot, 0.0) \
+            - bf * np.log(np.where(bf > 0, bf, 1.0))       # energy + entropy
+        evidence += np.bincount(doc, weights=terms.sum(axis=axes),
+                                minlength=n_docs)
+        for (d, f), belief in zip(factors, bf):
+            if f.role == "prior":
+                beliefs[d][f.factor_id] = belief
+    return [PosteriorSet(
+        marginals={v.var_id: b[o:o + v.k] for v, o in
+                   zip(graph.variables, var_off[base[d]:base[d + 1]])},
+        evidence=float(evidence[d]), converged=bool(converged[d]),
+        iterations=int(iterations[d]),
+        kinds={v.var_id: v.kind for v in graph.variables},
+        factor_beliefs=beliefs[d]) for d, graph in enumerate(graphs)]
 
 
 def loopy_bp(graph: FactorGraph, max_iters: int = 200, damping: float = 0.1,
              tol: float = 1e-8) -> PosteriorSet:
-    """Synchronous flooding sum-product in log space.
-
-    Marginals come from normalized message products; evidence is the Bethe
-    free energy, exact on acyclic graphs.
-    """
-    nvars = len(graph.variables)
-    factors = graph.factors
-    # message tables per directed edge
-    f2v = [[np.zeros(graph.variables[i].k) for i in f.var_idx] for f in factors]
-    v2f = [[np.zeros(graph.variables[i].k) for i in f.var_idx] for f in factors]
-    # incidence: variable -> list of (factor index, position in factor)
-    incidence: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
-    for fi, f in enumerate(factors):
-        for pos, vi in enumerate(f.var_idx):
-            incidence[vi].append((fi, pos))
-
-    converged = False
-    iterations = 0
-    for iteration in range(1, max_iters + 1):
-        iterations = iteration
-        delta = 0.0
-        # variable -> factor
-        new_v2f = [[None] * len(f.var_idx) for f in factors]
-        for vi in range(nvars):
-            total = np.zeros(graph.variables[vi].k)
-            for fi, pos in incidence[vi]:
-                total = total + f2v[fi][pos]
-            for fi, pos in incidence[vi]:
-                new_v2f[fi][pos] = _normalize_log(total - f2v[fi][pos])
-        # factor -> variable
-        for fi, f in enumerate(factors):
-            arity = len(f.var_idx)
-            if arity == 1:
-                cand = _normalize_log(f.logpot)
-                msg = (1 - damping) * cand + damping * f2v[fi][0]
-                delta = max(delta, float(np.max(np.abs(msg - f2v[fi][0]))))
-                f2v[fi][0] = msg
-                v2f[fi][0] = new_v2f[fi][0]
-                continue
-            acc = f.logpot
-            for pos in range(arity):
-                shape = [1] * arity
-                shape[pos] = -1
-                acc = acc + new_v2f[fi][pos].reshape(shape)
-            for pos in range(arity):
-                axes = tuple(ax for ax in range(arity) if ax != pos)
-                shape = [1] * arity
-                shape[pos] = -1
-                cand = logsumexp(acc - new_v2f[fi][pos].reshape(shape),
-                                 axis=axes)
-                cand = _normalize_log(cand)
-                if not np.all(np.isfinite(cand)):
-                    raise NumericalError(
-                        f"non-finite message from factor {f.factor_id}")
-                msg = (1 - damping) * cand + damping * f2v[fi][pos]
-                delta = max(delta, float(np.max(np.abs(msg - f2v[fi][pos]))))
-                f2v[fi][pos] = msg
-                v2f[fi][pos] = new_v2f[fi][pos]
-        if delta < tol:
-            converged = True
-            break
-
-    marginals, var_entropy, var_degree = {}, np.zeros(nvars), np.zeros(nvars)
-    beliefs_v = []
-    for vi, var in enumerate(graph.variables):
-        total = np.zeros(var.k)
-        for fi, pos in incidence[vi]:
-            total = total + f2v[fi][pos]
-        b = np.exp(total - logsumexp(total))
-        b /= b.sum()
-        beliefs_v.append(b)
-        marginals[var.var_id] = b
-        var_entropy[vi] = -float(np.sum(b[b > 0] * np.log(b[b > 0])))
-        var_degree[vi] = len(incidence[vi])
-
-    evidence = 0.0
-    factor_beliefs = {}
-    for fi, f in enumerate(factors):
-        arity = len(f.var_idx)
-        acc = f.logpot
-        for pos in range(arity):
-            shape = [1] * arity
-            shape[pos] = -1
-            acc = acc + v2f[fi][pos].reshape(shape)
-        bf = np.exp(acc - logsumexp(acc))
-        bf /= bf.sum()
-        if f.role == "prior":
-            factor_beliefs[f.factor_id] = bf
-        mask = bf > 0
-        evidence += float(np.sum(bf[mask] * f.logpot[mask]))       # energy
-        evidence += -float(np.sum(bf[mask] * np.log(bf[mask])))    # entropy
-    evidence -= float(np.sum((var_degree - 1.0) * var_entropy))
-
-    return PosteriorSet(
-        marginals=marginals, evidence=evidence, converged=converged,
-        iterations=iterations,
-        kinds={v.var_id: v.kind for v in graph.variables},
-        factor_beliefs=factor_beliefs)
+    """Loopy BP on one graph: a batch of one."""
+    return loopy_bp_batch([graph], max_iters, damping, tol)[0]
 
 
 # ---------------------------------------------------------------------------

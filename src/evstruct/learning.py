@@ -18,7 +18,7 @@ import numpy as np
 
 from . import likelihoods as lk
 from .corpus import DocumentGraph
-from .factorgraph import PosteriorSet, build_graph, loopy_bp
+from .factorgraph import PosteriorSet, build_graph, loopy_bp_batch
 from .params import (  # noqa: F401  (item_logliks re-exported)
     ModelParams, ObsIndex, OrdinalParams, PropTable, TypeInventory, _Pack,
     _leaves, _packs_from_params, _terms, build_obs, init_params, item_logliks,
@@ -239,16 +239,10 @@ def _update_sigmas(params: ModelParams, schema: Schema) -> None:
 
 def e_step(corpus: list[DocumentGraph], params: ModelParams, schema: Schema,
            config: FitConfig) -> list[PosteriorSet]:
-    posts = []
-    for doc in corpus:
-        try:
-            graph = build_graph(doc, params, schema, config.window,
-                                config.confidence_weighting)
-            posts.append(loopy_bp(graph, config.bp_max_iters,
-                                  config.bp_damping, config.bp_tol))
-        except ArithmeticError as exc:
-            raise ArithmeticError(f"document {doc.doc_id}: {exc}") from exc
-    return posts
+    graphs = [build_graph(doc, params, schema, config.window,
+                          config.confidence_weighting) for doc in corpus]
+    return loopy_bp_batch(graphs, config.bp_max_iters, config.bp_damping,
+                          config.bp_tol)
 
 
 def posterior_matrices(obs: ObsIndex,

@@ -659,9 +659,20 @@ _FAMILY = {BinaryParams: BINARY, CategoricalParams: CATEGORICAL,
 
 
 def check_params(params: ModelParams, schema: Schema) -> None:
-    """Raise CheckpointError naming the first schema property that params
-    lack, hold under another response family or hurdle gating, or size for
-    another type count than the inventory's."""
+    """Raise CheckpointError naming the first prior table or schema
+    property that params size for other type counts than the inventory's,
+    lack, or hold under another response family or hurdle gating."""
+    want = PriorParams.uniform(params.inventory)
+    tables = {f"theta_{n}": (getattr(params.priors, f"theta_{n}"),
+                             getattr(want, f"theta_{n}"))
+              for n in ("event", "entity", "role")}
+    tables.update({f"theta_rel.{b}": (params.priors.theta_rel.get(b), w)
+                   for b, w in want.theta_rel.items()})
+    for key, (have, need) in tables.items():
+        if np.shape(have) != need.shape:
+            raise CheckpointError(
+                f"checkpoint priors.{key} has shape {np.shape(have)}, but "
+                f"the inventory needs {need.shape}")
     for spec in schema:
         pp = params.props.get(spec.name)
         if pp is None:

@@ -215,3 +215,61 @@ def test_export_features_subcommand(tmp_path):
     assert header[:2] == ["element", "row_kind"]
     assert header[-1] == "empty_pool"
     assert all(len(line.split("\t")) == len(header) for line in text[1:])
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--corpus"])
+def test_missing_input_file_is_data_error(tmp_path, capsys, flag):
+    data = synth(tmp_path / "data")
+    args = {"--corpus": str(data / "corpus.jsonl"),
+            "--checkpoint": str(data / "true_params.json")}
+    missing = str(tmp_path / "nope.json")
+    args[flag] = missing
+    capsys.readouterr()
+    assert run(["posteriors", "--schema", "flat", "--out",
+                str(tmp_path / "post")]
+               + [x for pair in args.items() for x in pair]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"cannot read {missing}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k_event, key, edit", [
+    ("2", "theta_event", lambda pr: pr.update(theta_event=[1.0])),
+    ("3", "theta_event",
+     lambda pr: pr.update(theta_event=pr["theta_event"][:2])),
+    ("3", "theta_role", lambda pr: pr.update(theta_role=pr["theta_role"][1:])),
+    ("3", "theta_rel.en",
+     lambda pr: pr["theta_rel"].update(en=pr["theta_rel"]["en"][1:])),
+], ids=["event-1-of-2", "event-2-of-3", "role", "rel-en"])
+def test_prior_shape_mismatch_is_data_error(tmp_path, capsys, k_event, key,
+                                            edit):
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "3", "--seed", "1",
+                "--k-event", k_event, "--k-entity", "2", "--k-role", "2",
+                "--k-rel", "2"]) == 0
+    obj = json.loads((data / "true_params.json").read_text())
+    edit(obj["priors"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["posteriors", "--corpus", str(data / "corpus.jsonl"),
+                "--checkpoint", str(bad), "--out",
+                str(tmp_path / "post")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}: ") and f"priors.{key}" in err
+
+
+def test_manifest_records_bp_convergence(tmp_path):
+    data = synth(tmp_path / "data")
+    runs = {}
+    for name, extra in (("once", ["--bp-max-iters", "1"]), ("full", [])):
+        out = tmp_path / name
+        assert run(["posteriors", "--corpus", str(data / "corpus.jsonl"),
+                    "--checkpoint", str(data / "true_params.json"),
+                    "--schema", "flat", "--out", str(out), *extra]) == 0
+        runs[name] = json.loads((out / "manifest.json").read_text())["bp"]
+    doc_ids = sorted(json.loads((data / "truth.json").read_text()))
+    assert runs["once"] == {"documents": 4, "unconverged": doc_ids,
+                            "max_iterations": 1}
+    assert runs["full"]["documents"] == 4
+    assert runs["full"]["unconverged"] == []
+    assert 1 < runs["full"]["max_iterations"] <= 200
