@@ -31,7 +31,7 @@ from .params import (
     CheckpointError, TypeInventory, check_params, load_params, save_params,
 )
 from .schema import Schema, SchemaError, default_schema
-from .selection import SelectionConfig, select_k
+from .selection import SelectionConfig, check_candidates, select_k
 from .synth import SynthConfig, corpus_stats, flat_schema, format_stats, sample_corpus
 
 EXIT_USAGE = 2
@@ -86,13 +86,31 @@ def _bp_record(docs, *post_lists) -> dict:
                                   default=0)}
 
 
-def _read_input(load, path, *args, **kwargs):
-    """load(path, ...); a missing or unreadable input file is a data error."""
+def _on_path(fn, path, *args, verb="read", **kwargs):
+    """fn(path, ...); an OSError there (an input file that cannot be read, an
+    output directory that cannot be created) is a data error."""
     try:
-        return load(path, *args, **kwargs)
+        return fn(path, *args, **kwargs)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}",
+        raise CliError(f"cannot {verb} {path}: {exc.strerror or exc}",
                        EXIT_DATA) from None
+
+
+def _from_flags(build, *args, **kwargs):
+    """build(...) from flag values; a value it rejects is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from None
+
+
+def _flag_list(flag, text, kind) -> list:
+    """A comma-separated flag value; an unparsable item is a usage error."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag} {text!r}: expected comma-separated "
+                       f"{kind.__name__} values", EXIT_USAGE) from None
 
 
 def _load_config_file(path):
@@ -130,11 +148,11 @@ def _schema_from_arg(value) -> Schema:
         return default_schema()
     if value == "flat":
         return flat_schema()
-    return _read_input(Schema.load, value)
+    return _on_path(Schema.load, value)
 
 
 def _load_prepared(path, schema, window=None):
-    docs = _read_input(load_corpus, path, schema, window=window)
+    docs = _on_path(load_corpus, path, schema, window=window)
     if any(rec.ridit_confidence is None
            for doc in docs for rec in doc.annotations):
         prepare_corpus(docs, schema)
@@ -143,7 +161,7 @@ def _load_prepared(path, schema, window=None):
 
 def _load_checkpoint(path, schema):
     try:
-        params = _read_input(load_params, path)
+        params = _on_path(load_params, path)
         check_params(params, schema)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
@@ -158,7 +176,8 @@ def _split(docs, dev_fraction):
 
 
 def _fit_config(args, config) -> FitConfig:
-    return FitConfig(
+    return _from_flags(
+        FitConfig,
         window=_resolve(args, config, "window", 2),
         max_em_iters=_resolve(args, config, "em-iters", 20),
         adam_lr=_resolve(args, config, "adam-lr", 0.05),
@@ -174,7 +193,8 @@ def _fit_config(args, config) -> FitConfig:
 
 
 def _inventory(args, config) -> TypeInventory:
-    return TypeInventory(
+    return _from_flags(
+        TypeInventory,
         k_event=_resolve(args, config, "k-event", 4),
         k_entity=_resolve(args, config, "k-entity", 8),
         k_role=_resolve(args, config, "k-role", 2),
@@ -187,13 +207,10 @@ def _inventory(args, config) -> TypeInventory:
 
 def _cmd_synth(args, config):
     started = time.time()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
     seed = _resolve(args, config, "seed", 0)
-    schema = _schema_from_arg(_resolve(args, config, "schema", "default"))
-    syn = SynthConfig(
+    syn = _from_flags(
+        SynthConfig,
         inventory=_inventory(args, config),
-        schema=schema,
         n_docs=_resolve(args, config, "docs", 10),
         sentences_per_doc=_resolve(args, config, "sentences", 2),
         predicates_per_sentence=_resolve(args, config, "predicates", 1),
@@ -206,13 +223,15 @@ def _cmd_synth(args, config):
         separation=_resolve(args, config, "separation", 4.0),
         sigma_ann=_resolve(args, config, "sigma-ann", 0.0),
     )
+    syn.schema = schema = _schema_from_arg(
+        _resolve(args, config, "schema", "default"))
     docs, truth, params = sample_corpus(syn)
     prepare_corpus(docs, schema)
-    save_corpus(docs, os.path.join(out, "corpus.jsonl"))
-    _dump_json(truth, os.path.join(out, "truth.json"))
-    save_params(params, os.path.join(out, "true_params.json"))
-    schema.save(os.path.join(out, "schema.json"))
-    with open(os.path.join(out, "stats.txt"), "w") as fh:
+    save_corpus(docs, os.path.join(args.out, "corpus.jsonl"))
+    _dump_json(truth, os.path.join(args.out, "truth.json"))
+    save_params(params, os.path.join(args.out, "true_params.json"))
+    schema.save(os.path.join(args.out, "schema.json"))
+    with open(os.path.join(args.out, "stats.txt"), "w") as fh:
         fh.write(format_stats(corpus_stats(docs, schema)) + "\n")
     resolved = {"docs": syn.n_docs, "sentences": syn.sentences_per_doc,
                 "predicates": syn.predicates_per_sentence,
@@ -226,22 +245,20 @@ def _cmd_synth(args, config):
                 "k-entity": syn.inventory.k_entity,
                 "k-role": syn.inventory.k_role,
                 "k-rel": syn.inventory.k_rel}
-    _write_manifest(out, "synth", resolved, [], seed, started)
+    _write_manifest(args.out, "synth", resolved, [], seed, started)
     return 0
 
 
 def _cmd_ingest(args, config):
     started = time.time()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
     schema = _schema_from_arg(args.schema)
     window = _resolve(args, config, "window", 2)
-    docs = _read_input(load_corpus, args.corpus, schema, window=window)
+    docs = _on_path(load_corpus, args.corpus, schema, window=window)
     prepare_corpus(docs, schema)
-    save_corpus(docs, os.path.join(out, "corpus.jsonl"))
-    with open(os.path.join(out, "stats.txt"), "w") as fh:
+    save_corpus(docs, os.path.join(args.out, "corpus.jsonl"))
+    with open(os.path.join(args.out, "stats.txt"), "w") as fh:
         fh.write(format_stats(corpus_stats(docs, schema)) + "\n")
-    _write_manifest(out, "ingest", {"window": window},
+    _write_manifest(args.out, "ingest", {"window": window},
                     [args.corpus] + _schema_input(args.schema),
                     0, started)
     return 0
@@ -249,11 +266,9 @@ def _cmd_ingest(args, config):
 
 def _cmd_fit(args, config):
     started = time.time()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    schema = _schema_from_arg(args.schema)
     fc = _fit_config(args, config)
     inv = _inventory(args, config)
+    schema = _schema_from_arg(args.schema)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
     if args.dev:
         train = docs
@@ -261,11 +276,11 @@ def _cmd_fit(args, config):
     else:
         train, dev = _split(docs, _resolve(args, config, "dev-fraction", 0.2))
     result = fit(train, dev, inv, schema, fc)
-    save_params(result.params, os.path.join(out, "checkpoint.json"))
+    save_params(result.params, os.path.join(args.out, "checkpoint.json"))
     _dump_json({"train_evidence": result.train_evidence,
                 "dev_evidence": result.dev_evidence,
                 "stopped": result.stopped_reason},
-               os.path.join(out, "trace.json"))
+               os.path.join(args.out, "trace.json"))
     resolved = {"window": fc.window, "em-iters": fc.max_em_iters,
                 "m-step-iters": fc.m_step_iters, "adam-lr": fc.adam_lr,
                 "threads": fc.threads,
@@ -275,7 +290,7 @@ def _cmd_fit(args, config):
                 "k-role": inv.k_role, "k-rel": inv.k_rel}
     inputs = [args.corpus] + ([args.dev] if args.dev else []) \
         + _schema_input(args.schema)
-    _write_manifest(out, "fit", resolved, inputs, fc.seed, started,
+    _write_manifest(args.out, "fit", resolved, inputs, fc.seed, started,
                     bp=_bp_record(train, result.posteriors))
     return 0
 
@@ -292,16 +307,14 @@ def _posteriors_obj(docs, posteriors):
 
 def _cmd_posteriors(args, config):
     started = time.time()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    schema = _schema_from_arg(args.schema)
     fc = _fit_config(args, config)
+    schema = _schema_from_arg(args.schema)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
     params = _load_checkpoint(args.checkpoint, schema)
     posts = e_step(docs, params, schema, fc)
     _dump_json(_posteriors_obj(docs, posts),
-               os.path.join(out, "posteriors.json"))
-    _write_manifest(out, "posteriors",
+               os.path.join(args.out, "posteriors.json"))
+    _write_manifest(args.out, "posteriors",
                     {"window": fc.window, "threads": fc.threads},
                     [args.corpus, args.checkpoint]
                     + _schema_input(args.schema),
@@ -311,26 +324,26 @@ def _cmd_posteriors(args, config):
 
 def _cmd_select_k(args, config):
     started = time.time()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    schema = _schema_from_arg(args.schema)
     seed = _resolve(args, config, "seed", 0)
     fc = _fit_config(args, config)
-    sc = SelectionConfig(
+    sc = _from_flags(
+        SelectionConfig,
         restarts=_resolve(args, config, "restarts", 5),
         em_iters=_resolve(args, config, "mixture-em-iters", 30),
         bootstrap_samples=_resolve(args, config, "bootstrap-samples", 1000),
         seed=seed,
         fit=fc,
     )
-    candidates = [int(v) for v in args.candidates.split(",")]
+    candidates = _flag_list("--candidates", args.candidates, int)
+    _from_flags(check_candidates, candidates)
+    schema = _schema_from_arg(args.schema)
     docs = _load_prepared(args.corpus, schema)
     train, dev = _split(docs, _resolve(args, config, "dev-fraction", 0.2))
     report = select_k(train, dev, args.kind, candidates, schema, sc)
-    _dump_json(report.to_obj(), os.path.join(out, "selection.json"))
-    with open(os.path.join(out, "selection.txt"), "w") as fh:
+    _dump_json(report.to_obj(), os.path.join(args.out, "selection.json"))
+    with open(os.path.join(args.out, "selection.txt"), "w") as fh:
         fh.write(report.table() + "\n")
-    _write_manifest(out, "select-k",
+    _write_manifest(args.out, "select-k",
                     {"kind": args.kind, "candidates": candidates,
                      "restarts": sc.restarts,
                      "bootstrap-samples": sc.bootstrap_samples},
@@ -341,19 +354,17 @@ def _cmd_select_k(args, config):
 
 def _cmd_summarize(args, config):
     started = time.time()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
     schema = _schema_from_arg(args.schema)
     params = _load_checkpoint(args.checkpoint, schema)
     threshold = _resolve(args, config, "na-threshold",
                          analysis.DEFAULT_NA_THRESHOLD)
     summary = analysis.summarize_types(params, schema, na_threshold=threshold)
-    _dump_json(summary.tables, os.path.join(out, "summary.json"))
-    with open(os.path.join(out, "summary_long.tsv"), "w") as fh:
+    _dump_json(summary.tables, os.path.join(args.out, "summary.json"))
+    with open(os.path.join(args.out, "summary_long.tsv"), "w") as fh:
         fh.write("group\tproperty\ttype\tvalue\n")
         for group, prop, t, cell in summary.long_rows():
             fh.write(f"{group}\t{prop}\t{t}\t{cell}\n")
-    _write_manifest(out, "summarize", {"na-threshold": threshold},
+    _write_manifest(args.out, "summarize", {"na-threshold": threshold},
                     [args.checkpoint] + _schema_input(args.schema),
                     0, started)
     return 0
@@ -361,21 +372,19 @@ def _cmd_summarize(args, config):
 
 def _cmd_compare_fits(args, config):
     started = time.time()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    schema = _schema_from_arg(args.schema)
     fc = _fit_config(args, config)
+    schema = _schema_from_arg(args.schema)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
     posts_a = e_step(docs, _load_checkpoint(args.checkpoint_a, schema),
                      schema, fc)
     posts_b = e_step(docs, _load_checkpoint(args.checkpoint_b, schema),
                      schema, fc)
     mat = analysis.confusion(posts_a, posts_b, args.kind)
-    with open(os.path.join(out, "confusion.tsv"), "w") as fh:
+    with open(os.path.join(args.out, "confusion.tsv"), "w") as fh:
         fh.write("\t".join(f"b{t}" for t in range(mat.shape[1])) + "\n")
         for row in mat:
             fh.write("\t".join(repr(float(v)) for v in row) + "\n")
-    _write_manifest(out, "compare-fits", {"kind": args.kind},
+    _write_manifest(args.out, "compare-fits", {"kind": args.kind},
                     [args.corpus, args.checkpoint_a, args.checkpoint_b],
                     fc.seed, started, bp=_bp_record(docs, posts_a, posts_b))
     return 0
@@ -383,10 +392,8 @@ def _cmd_compare_fits(args, config):
 
 def _cmd_entropy(args, config):
     started = time.time()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    schema = _schema_from_arg(args.schema)
     fc = _fit_config(args, config)
+    schema = _schema_from_arg(args.schema)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
     params = _load_checkpoint(args.checkpoint, schema)
     posts = e_step(docs, params, schema, fc)
@@ -397,8 +404,8 @@ def _cmd_entropy(args, config):
         except analysis.AnalysisError:
             continue
         stats[kind] = {"mean": mean, "median": median}
-    _dump_json(stats, os.path.join(out, "entropy.json"))
-    _write_manifest(out, "entropy", {}, [args.corpus, args.checkpoint],
+    _dump_json(stats, os.path.join(args.out, "entropy.json"))
+    _write_manifest(args.out, "entropy", {}, [args.corpus, args.checkpoint],
                     fc.seed, started, bp=_bp_record(docs, posts))
     return 0
 
@@ -431,9 +438,10 @@ def _read_reliability(path) -> ReliabilityMatrix:
 
 def _cmd_agreement(args, config):
     started = time.time()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    table = _read_input(_read_reliability, args.table)
+    thresholds = _resolve(args, config, "thresholds", None)
+    if thresholds:
+        thresholds = _flag_list("--thresholds", thresholds, float)
+    table = _on_path(_read_reliability, args.table)
     metric = _resolve(args, config, "metric", "nominal")
     point = krippendorff_alpha(table, metric)
     result = {"metric": metric,
@@ -443,37 +451,33 @@ def _cmd_agreement(args, config):
             table, metric, seed=_resolve(args, config, "seed", 0))
         result["interval"] = [lo, hi]
         result["defined_resamples"] = n_def
-    thresholds = _resolve(args, config, "thresholds", None)
     if thresholds:
-        ts = [float(v) for v in thresholds.split(",")]
-        curve = thresholded_alpha(table, ts, metric)
-        with open(os.path.join(out, "curve.tsv"), "w") as fh:
+        curve = thresholded_alpha(table, thresholds, metric)
+        with open(os.path.join(args.out, "curve.tsv"), "w") as fh:
             fh.write("threshold\talpha\tcoverage\n")
             for pt in curve:
                 a = "undefined" if pt.alpha is None else repr(pt.alpha)
                 fh.write(f"{pt.threshold}\t{a}\t{pt.coverage}\n")
-    _dump_json(result, os.path.join(out, "agreement.json"))
-    _write_manifest(out, "agreement", {"metric": metric}, [args.table],
+    _dump_json(result, os.path.join(args.out, "agreement.json"))
+    _write_manifest(args.out, "agreement", {"metric": metric}, [args.table],
                     _resolve(args, config, "seed", 0), started)
     return 0
 
 
 def _cmd_export_features(args, config):
     started = time.time()
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    schema = _schema_from_arg(args.schema)
     fc = _fit_config(args, config)
+    schema = _schema_from_arg(args.schema)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
     params = _load_checkpoint(args.checkpoint, schema)
     posts = e_step(docs, params, schema, fc)
     table = analysis.export_features(docs, posts)
-    with open(os.path.join(out, "features.tsv"), "w") as fh:
+    with open(os.path.join(args.out, "features.tsv"), "w") as fh:
         fh.write("element\trow_kind\t" + "\t".join(table.header) + "\n")
         for element, row_kind, vec in table.rows:
             fh.write(f"{element}\t{row_kind}\t"
                      + "\t".join(repr(float(v)) for v in vec) + "\n")
-    _write_manifest(out, "export-features", {},
+    _write_manifest(args.out, "export-features", {},
                     [args.corpus, args.checkpoint], fc.seed, started,
                     bp=_bp_record(docs, posts))
     return 0
@@ -615,6 +619,8 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     try:
         config = _load_config_file(getattr(args, "config", None))
+        _on_path(os.makedirs, args.out, exist_ok=True,
+                 verb="create output directory")
         return args.func(args, config)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

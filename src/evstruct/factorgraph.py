@@ -17,10 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .corpus import DocumentGraph, Node, doc_edge_id, edge_id
-from .params import (  # noqa: F401  (re-exported contract types)
-    ModelParams, PriorParams, TypeInventory, _packs_from_params, build_obs,
-    item_logliks,
-)
+from .params import ModelParams, _packs_from_params, build_obs, item_logliks
 from .schema import Schema
 
 _THETA_FLOOR = 1e-12

@@ -48,9 +48,12 @@ class FitConfig:
 
     def __post_init__(self):
         if self.adam_lr <= 0:
-            raise ValueError("adam step size must be positive")
+            raise ValueError(f"adam_lr must be positive, got {self.adam_lr}")
         if self.window < 1:
-            raise ValueError("window must be >= 1")
+            raise ValueError(f"window must be >= 1, got {self.window}")
+        if self.m_step_iters < 0:
+            raise ValueError(
+                f"m_step_iters must be >= 0, got {self.m_step_iters}")
 
 
 @dataclass
@@ -68,16 +71,26 @@ class FitResult:
 def _params_from_packs(params: ModelParams, schema: Schema,
                        annotators: list[str],
                        packs: dict[str, _Pack]) -> None:
+    """Write the packed arrays back into params: each block's mu, rho dict
+    (in annotators order) and sigma re-estimated from the rho rows, with
+    ordinal cutpoints recentred."""
     for spec in schema:
         arrays = packs[spec.name].arrays
         for prefix, owner, attr, width in _leaves(params.props[spec.name]):
             setattr(owner, attr + "mu", arrays[prefix + "mu"])
-            if isinstance(owner, OrdinalParams):
-                owner.cut_raw = arrays[prefix + "cut_raw"]
             mat = arrays[prefix + "rho"]
             setattr(owner, attr + "rho",
                     {a: float(mat[i]) if width is None else np.array(mat[i])
                      for i, a in enumerate(annotators)})
+            if width is None:
+                setattr(owner, attr + "sigma",
+                        float(lk.update_sigma(mat[:, None])[0, 0])
+                        if len(mat) else 1.0)
+            elif len(mat):
+                setattr(owner, attr + "sigma", lk.update_sigma(mat))
+            if isinstance(owner, OrdinalParams):
+                owner.cut_raw = arrays[prefix + "cut_raw"]
+                owner.recenter()
 
 
 def _prop_objective(pack: _Pack, table: PropTable, c_all: np.ndarray,
@@ -123,25 +136,23 @@ def _penalty_terms(pack: _Pack, params: ModelParams):
 
 
 class Adam:
-    """Plain full-batch Adam over a dict of named arrays (ascent)."""
+    """Plain full-batch Adam ascent on one parameter vector, in place."""
 
-    def __init__(self, arrays: dict[str, np.ndarray], lr: float,
+    def __init__(self, x: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.arrays = arrays
+        self.x = x
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = {n: np.zeros_like(a) for n, a in arrays.items()}
-        self.v = {n: np.zeros_like(a) for n, a in arrays.items()}
+        self.m, self.v = np.zeros_like(x), np.zeros_like(x)
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, g: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, g in grads.items():
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mh = self.m[name] / (1 - b1 ** self.t)
-            vh = self.v[name] / (1 - b2 ** self.t)
-            self.arrays[name] += self.lr * mh / (np.sqrt(vh) + self.eps)
+        self.m = b1 * self.m + (1 - b1) * g
+        self.v = b2 * self.v + (1 - b2) * g * g
+        mh = self.m / (1 - b1 ** self.t)
+        vh = self.v / (1 - b2 ** self.t)
+        self.x += self.lr * mh / (np.sqrt(vh) + self.eps)
 
 
 def optimize_likelihoods(params: ModelParams, schema: Schema, obs: ObsIndex,
@@ -153,85 +164,61 @@ def optimize_likelihoods(params: ModelParams, schema: Schema, obs: ObsIndex,
     n_ann = len(obs.annotators)
     packs = _packs_from_params(params, schema, obs.annotators)
 
-    coeffs = {}
-    for spec in schema:
-        table = obs.tables[spec.name]
-        if len(table.elem) == 0:
-            continue
-        post = post_mats[spec.group]
-        coeffs[spec.name] = post[table.elem] * table.weight[:, None]
+    tables = obs.tables
+    coeffs = {spec.name: post_mats[spec.group][tables[spec.name].elem]
+              * tables[spec.name].weight[:, None]
+              for spec in schema if len(tables[spec.name].elem)}
 
-    flat: dict[str, np.ndarray] = {}
-    for pname, pack in packs.items():
-        for aname, arr in pack.arrays.items():
-            if not config.learn_rho and "rho" in aname:
-                continue
-            flat[f"{pname}/{aname}"] = arr
+    # each optimized array becomes a view into x, its gradient a view into
+    # g; without learn_rho the rho arrays stay out and keep their values
+    opt = [(pack, name) for pack in packs.values() for name in pack.arrays
+           if config.learn_rho or "rho" not in name]
+    x = np.zeros(sum(pack.arrays[name].size for pack, name in opt))
+    g = np.zeros_like(x)
+    grads = {pname: {} for pname in packs}
+    end = 0
+    for pack, name in opt:
+        arr = pack.arrays[name]
+        start, end = end, end + arr.size
+        x[start:end] = arr.ravel()
+        pack.arrays[name] = x[start:end].reshape(arr.shape)
+        grads[pack.name][name] = g[start:end].reshape(arr.shape)
 
-    def evaluate():
+    def evaluate() -> float:
+        g[:] = 0.0
         obj = 0.0
-        grads = {n: np.zeros_like(a) for n, a in flat.items()}
         for pname, pack in packs.items():
+            views = grads[pname]
             if pname in coeffs:
-                o, g = _prop_objective(pack, obs.tables[pname], coeffs[pname],
-                                       n_ann)
+                o, pg = _prop_objective(pack, tables[pname], coeffs[pname],
+                                        n_ann)
                 obj += o
-                for aname, garr in g.items():
-                    key = f"{pname}/{aname}"
-                    if key in grads:
-                        grads[key] += garr
+                for name, view in views.items():
+                    view += pg[name]
             if config.learn_rho:
-                o, g = _penalty_terms(pack, params)
+                o, pg = _penalty_terms(pack, params)
                 obj += o
-                for aname, garr in g.items():
-                    key = f"{pname}/{aname}"
-                    if key in grads:
-                        grads[key] += garr
+                for name, garr in pg.items():
+                    views[name] += garr
         if not np.isfinite(obj):
-            bad = [p for p in packs if p in coeffs]
             raise ArithmeticError(
-                f"non-finite M-step objective (properties: {bad})")
-        return obj, grads
+                f"non-finite M-step objective (properties: {list(coeffs)})")
+        return obj
 
-    adam = Adam(flat, config.adam_lr, config.adam_beta1, config.adam_beta2,
+    adam = Adam(x, config.adam_lr, config.adam_beta1, config.adam_beta2,
                 config.adam_eps)
-    best_obj = -np.inf
-    best = None
-    for _ in range(config.m_step_iters):
-        obj, grads = evaluate()
+    best_obj, best = -np.inf, None
+    for it in range(config.m_step_iters + 1):
+        if it:
+            adam.step(g)
+        obj = evaluate()
         if obj > best_obj:
-            best_obj = obj
-            best = {n: a.copy() for n, a in flat.items()}
-        adam.step(grads)
-    obj, _ = evaluate()
-    if obj > best_obj:
-        best_obj = obj
-        best = {n: a.copy() for n, a in flat.items()}
-    for name, arr in best.items():
-        flat[name][...] = arr
+            best_obj, best = obj, x.copy()
+    x[...] = best
 
     _params_from_packs(params, schema, obs.annotators, packs)
-    _update_sigmas(params, schema)
-    for pp in params.props.values():
-        for _, owner, _, _ in _leaves(pp):
-            if isinstance(owner, OrdinalParams):
-                owner.recenter()
     params.annotators = list(obs.annotators)
     return best_obj
-
-
-def _update_sigmas(params: ModelParams, schema: Schema) -> None:
-    for spec in schema:
-        for _, owner, attr, width in _leaves(params.props[spec.name]):
-            rho = getattr(owner, attr + "rho")
-            if width is None:
-                rhos = np.array(list(rho.values()), dtype=float)
-                setattr(owner, attr + "sigma",
-                        float(lk.update_sigma(rhos[:, None])[0, 0])
-                        if rhos.size else 1.0)
-            elif rho:
-                setattr(owner, attr + "sigma",
-                        lk.update_sigma(np.stack(list(rho.values()))))
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,9 @@ class TypeInventory:
     k_rel: int
 
     def __post_init__(self):
-        for name in ("k_event", "k_entity", "k_role", "k_rel"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, k in vars(self).items():
+            if k < 1:
+                raise ValueError(f"{name} must be >= 1, got {k}")
 
     def k_for(self, group: str) -> int:
         return {"event": self.k_event, "entity": self.k_entity,

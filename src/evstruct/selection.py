@@ -10,14 +10,15 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .corpus import DocumentGraph
-from .learning import (
-    FitConfig, ObsIndex, _packs_from_params, build_obs, item_logliks,
-    optimize_likelihoods,
+from .learning import FitConfig, optimize_likelihoods
+from .params import (
+    ModelParams, ObsIndex, TypeInventory, _packs_from_params, build_obs,
+    init_params, item_logliks,
 )
-from .params import ModelParams, TypeInventory, init_params
 from .schema import Schema
 
 THETA_FLOOR = 1e-10
+MIN_BOOTSTRAP = 1000
 
 
 @dataclass
@@ -31,9 +32,13 @@ class SelectionConfig:
 
     def __post_init__(self):
         if self.restarts < 1 or self.em_iters < 1:
-            raise ValueError("restarts and em_iters must be positive")
+            raise ValueError(f"restarts and em_iters must be positive, got "
+                             f"{self.restarts} and {self.em_iters}")
+        if self.bootstrap_samples < MIN_BOOTSTRAP:
+            raise ValueError(f"bootstrap_samples must be >= {MIN_BOOTSTRAP}, "
+                             f"got {self.bootstrap_samples}")
         if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
+            raise ValueError(f"level must lie in (0, 1), got {self.level}")
 
 
 @dataclass
@@ -94,10 +99,8 @@ def _log_joint(params: ModelParams, log_pi: np.ndarray, obs: ObsIndex,
 
 
 def _inventory_for(kind: str, k: int) -> TypeInventory:
-    counts = {"event": 1, "entity": 1, "role": 1, "rel": 1}
-    counts[kind] = k
-    return TypeInventory(counts["event"], counts["entity"], counts["role"],
-                         counts["rel"])
+    return TypeInventory(*(k if group == kind else 1
+                           for group in ("event", "entity", "role", "rel")))
 
 
 def fit_mixture(train: list[DocumentGraph], kind: str, k: int, schema: Schema,
@@ -151,8 +154,8 @@ def bootstrap_diff_ci(per_item_ev_a: np.ndarray, per_item_ev_b: np.ndarray,
     b = np.asarray(per_item_ev_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    if n_boot < 1000:
-        raise ValueError("need at least 1000 bootstrap resamples")
+    if n_boot < MIN_BOOTSTRAP:
+        raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap resamples")
     rng = np.random.default_rng(seed)
     diff = b - a
     n = len(diff)
@@ -161,6 +164,14 @@ def bootstrap_diff_ci(per_item_ev_a: np.ndarray, per_item_ev_b: np.ndarray,
     tail = 100.0 * (1.0 - level) / 2.0
     lo, hi = np.percentile(means, [tail, 100.0 - tail])
     return float(lo), float(hi)
+
+
+def check_candidates(candidates: list[int]) -> None:
+    """Candidate type counts must be positive and strictly increasing."""
+    if not candidates or list(candidates) != sorted(set(candidates)) \
+            or candidates[0] < 1:
+        raise ValueError(f"candidates must be positive and strictly "
+                         f"increasing, got {list(candidates)}")
 
 
 def select_k(train: list[DocumentGraph], dev: list[DocumentGraph], kind: str,
@@ -172,10 +183,7 @@ def select_k(train: list[DocumentGraph], dev: list[DocumentGraph], kind: str,
     a larger K replaces the incumbent only when the bootstrap interval of
     its mean dev-evidence gain lies strictly above zero.
     """
-    if not candidates:
-        raise ValueError("empty candidate list")
-    if list(candidates) != sorted(set(candidates)):
-        raise ValueError("candidates must be strictly increasing")
+    check_candidates(candidates)
     obs = build_obs(train, schema, config.fit.confidence_weighting)
 
     per_item: dict[int, np.ndarray] = {}

@@ -49,7 +49,8 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.annotators_per_item > self.n_annotators:
-            raise ValueError("annotators_per_item exceeds the pool size")
+            raise ValueError(f"annotators_per_item {self.annotators_per_item}"
+                             f" exceeds the pool size {self.n_annotators}")
 
 
 def flat_schema(n_event: int = 4, n_entity: int = 3, n_role: int = 3,

@@ -273,3 +273,64 @@ def test_manifest_records_bp_convergence(tmp_path):
     assert runs["full"]["documents"] == 4
     assert runs["full"]["unconverged"] == []
     assert 1 < runs["full"]["max_iterations"] <= 200
+
+
+@pytest.mark.parametrize("command", ["posteriors", "ingest"])
+def test_uncreatable_output_dir_is_data_error(tmp_path, capsys, command):
+    data = synth(tmp_path / "data")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = str(afile / "sub")
+    argv = [command, "--corpus", str(data / "corpus.jsonl"),
+            "--schema", "flat", "--out", out]
+    if command == "posteriors":
+        argv += ["--checkpoint", str(data / "true_params.json")]
+    capsys.readouterr()
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["fit", "--adam-lr", "-1"], "-1"),
+    (["fit", "--k-event", "0"], "0"),
+    (["fit", "--m-step-iters", "-1"], "-1"),
+    (["fit", "--window", "0"], "0"),
+    (["select-k", "--kind", "event", "--candidates", "3,2"], "[3, 2]"),
+    (["select-k", "--kind", "event", "--candidates", "a"], "'a'"),
+    (["select-k", "--kind", "event", "--candidates", "0,1"], "[0, 1]"),
+    (["select-k", "--kind", "event", "--candidates", "2", "--restarts", "0"],
+     "0"),
+    (["select-k", "--kind", "event", "--candidates", "2",
+      "--bootstrap-samples", "10"], "10"),
+    (["synth", "--annotators", "2", "--annotators-per-item", "3"], "3"),
+    (["agreement", "--table", "{missing}", "--thresholds", "0.5,x"], "0.5,x"),
+], ids=["adam-lr", "k-event", "m-step-iters", "window", "candidates-order",
+        "candidates-int", "candidates-zero", "restarts", "bootstrap-samples",
+        "annotators-per-item", "thresholds"])
+def test_invalid_flag_value_is_usage_error(tmp_path, capsys, argv, value):
+    # the corpus does not exist: the flag value is checked before any input
+    # is read
+    missing = str(tmp_path / "missing.jsonl")
+    argv = [a.replace("{missing}", missing) for a in argv]
+    if argv[0] in ("fit", "select-k"):
+        argv += ["--corpus", missing]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and value in err
+    assert "Traceback" not in err
+
+
+def test_checkpoint_type_count_out_of_range_is_data_error(tmp_path, capsys):
+    data = synth(tmp_path / "data")
+    obj = json.loads((data / "true_params.json").read_text())
+    obj["inventory"]["k_event"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["posteriors", "--corpus", str(data / "corpus.jsonl"),
+                "--checkpoint", str(bad), "--schema", "flat",
+                "--out", str(tmp_path / "post")]) == EXIT_DATA
+    assert "k_event must be >= 1" in capsys.readouterr().err

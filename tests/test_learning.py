@@ -259,3 +259,84 @@ class TestMStepOracle:
             expected = float(np.sum(coeffs[name]
                                     * row_logliks(pack, table)))
             assert obj == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestMStepWriteBack:
+    """What optimize_likelihoods writes back into the parameter tree: each
+    block's sigma re-estimated from its rho rows, recentred ordinal
+    cutpoints, the annotator list, and rho left alone without learn_rho."""
+
+    @pytest.fixture(scope="class", params=[True, False], ids=["learn_rho",
+                                                              "fixed_rho"])
+    def fitted(self, request):
+        from evstruct.schema import CATEGORICAL, PRED_ARG_EDGE
+        schema = Schema(default_schema().properties + (PropertySpec(
+            "affectedness", "protoroles", PRED_ARG_EDGE, CATEGORICAL,
+            n_categories=3),))
+        cfg = SynthConfig(inventory=TypeInventory(3, 2, 2, 2), schema=schema,
+                          n_docs=3, sentences_per_doc=3,
+                          predicates_per_sentence=2, eventive_prob=0.5,
+                          n_annotators=3, annotators_per_item=2, seed=5,
+                          sigma_ann=0.7,
+                          confidence_levels=[0.1, 0.15, 0.2, 0.25, 0.3])
+        docs, _, params = sample_corpus(cfg)
+        prepare_corpus(docs, schema)
+        obs = build_obs(docs, schema, confidence_weighting=True)
+        rng = np.random.default_rng(1)
+        post = {kind: rng.dirichlet(np.ones(params.inventory.k_for(kind)),
+                                    size=len(elems))
+                for kind, elems in obs.elements.items()}
+        params.annotators = []
+        before = copy.deepcopy(params)
+        optimize_likelihoods(params, schema, obs, post,
+                             FitConfig(m_step_iters=20,
+                                       learn_rho=request.param))
+        return request.param, before, params, obs
+
+    @staticmethod
+    def blocks(params):
+        from evstruct.params import _leaves
+        for pp in params.props.values():
+            yield from _leaves(pp)
+
+    def test_sigma_from_rho_rows(self, fitted):
+        from evstruct import likelihoods as lk
+        _, _, params, obs = fitted
+        for _, owner, attr, width in self.blocks(params):
+            rho = getattr(owner, attr + "rho")
+            rows = np.array([rho[a] for a in obs.annotators], dtype=float)
+            sigma = getattr(owner, attr + "sigma")
+            if width is None:
+                assert sigma == float(lk.update_sigma(rows[:, None])[0, 0])
+            else:
+                np.testing.assert_array_equal(sigma, lk.update_sigma(rows))
+
+    def test_ordinal_cutpoints_recentred(self, fitted):
+        from evstruct import likelihoods as lk
+        from evstruct.params import OrdinalParams
+        _, _, params, _ = fitted
+        ordinal = [owner for _, owner, _, _ in self.blocks(params)
+                   if isinstance(owner, OrdinalParams)]
+        assert ordinal
+        for owner in ordinal:
+            mean = np.mean(lk.cutpoints_from_raw(owner.cut_raw))
+            assert abs(mean) <= 1e-12
+
+    def test_annotators_written(self, fitted):
+        _, _, params, obs = fitted
+        assert params.annotators == obs.annotators
+
+    def test_rho_kept_bit_for_bit_unless_learned(self, fitted):
+        learn_rho, before, params, _ = fitted
+        old = list(self.blocks(before))
+        new = list(self.blocks(params))
+        assert len(old) == len(new)
+        same = []
+        for (_, o_owner, attr, _), (_, n_owner, _, _) in zip(old, new):
+            o_rho = getattr(o_owner, attr + "rho")
+            n_rho = getattr(n_owner, attr + "rho")
+            assert o_rho and set(o_rho) <= set(n_rho)
+            same += [np.asarray(n_rho[a], dtype=float).tobytes()
+                     == np.asarray(value, dtype=float).tobytes()
+                     for a, value in o_rho.items()]
+        assert all(same) != learn_rho
