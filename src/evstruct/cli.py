@@ -129,13 +129,20 @@ def _load_config_file(path):
 
 
 def _resolve(args, config, name, default):
-    """flags > config file > default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
+    """flags > config file > default.  A config-file value is read as its
+    flag's text would be; one the flag's type rejects is a usage error."""
+    dest = name.replace("-", "_")
+    if getattr(args, dest, None) is not None:
+        return getattr(args, dest)
+    if name not in config:
+        return default
+    kind = args.flag_types.get(dest)
+    try:
+        return config[name] if kind is None else kind(str(config[name]))
+    except ValueError:
+        raise CliError(f"config file key {name!r}: expected "
+                       f"{kind.__name__}, got {config[name]!r}",
+                       EXIT_USAGE) from None
 
 
 def _schema_input(value) -> list:
@@ -608,6 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_flags(p)
     p.set_defaults(func=_cmd_export_features)
 
+    for p in sub.choices.values():
+        p.set_defaults(flag_types={a.dest: a.type for a in p._actions
+                                   if a.type is not None})
     return parser
 
 

@@ -14,9 +14,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .corpus import DocumentGraph, Node, doc_edge_id, edge_id
+from .likelihoods import logsumexp
 from .params import ModelParams, _packs_from_params, build_obs, item_logliks
 from .schema import Schema
 
@@ -188,12 +188,6 @@ def _expand(m, pos, arity):
     return np.expand_dims(m, tuple(ax + 1 for ax in range(arity) if ax != pos))
 
 
-def _lse(x, axes):
-    """log-sum-exp over axes, shifted by the maximum."""
-    mx = x.max(axis=axes, keepdims=True)
-    return np.log(np.exp(x - mx).sum(axis=axes)) + np.squeeze(mx, axis=axes)
-
-
 def _joint(logpot, msgs):
     for pos, m in enumerate(msgs):
         logpot = logpot + _expand(m, pos, len(msgs))
@@ -260,8 +254,9 @@ def loopy_bp_batch(graphs: list[FactorGraph], max_iters: int = 200,
                 cands = [logpot - logpot.max(axis=1, keepdims=True)]
             else:
                 acc = _joint(logpot, msgs)
-                cands = [_lse(acc - _expand(m, pos, arity),
-                              tuple(ax + 1 for ax in range(arity) if ax != pos))
+                cands = [logsumexp(acc - _expand(m, pos, arity),
+                                   tuple(ax + 1 for ax in range(arity)
+                                         if ax != pos))
                          for pos, m in enumerate(msgs)]
                 cands = [c - c.max(axis=1, keepdims=True) for c in cands]
             for es, m, cand in zip(ess, msgs, cands):

@@ -2,11 +2,12 @@
 confidence-weighted expected log-likelihood, closed-form prior updates, and
 dev-evidence stopping.
 
-The M-step objective contracts the row log-likelihoods that params
-computes, one vectorized function per response family, with
-responsibility-weighted coefficients: the same rows the E-step scores.
-Its machinery (objective, gradients, Adam) is shared with the flat mixture
-models used for type-count selection.
+The M-step objective contracts the outcome tables that params computes,
+one table function per response family, with expected counts per
+(annotator, type, outcome): the responsibility-weighted rows the E-step
+scores, summed once per M-step.  Its machinery (objective, gradients,
+Adam) is shared with the flat mixture models used for type-count
+selection.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from . import likelihoods as lk
 from .corpus import DocumentGraph
 from .factorgraph import PosteriorSet, build_graph, loopy_bp_batch
 from .params import (  # noqa: F401  (item_logliks re-exported)
-    ModelParams, ObsIndex, OrdinalParams, PropTable, TypeInventory, _Pack,
-    _leaves, _packs_from_params, _terms, build_obs, init_params, item_logliks,
+    ModelParams, ObsIndex, OrdinalParams, PropTable, Term, TypeInventory,
+    _Pack, _block, _leaves, _packs_from_params, build_obs, init_params,
+    item_logliks,
 )
 from .schema import Schema
 
@@ -93,46 +95,131 @@ def _params_from_packs(params: ModelParams, schema: Schema,
                 owner.recenter()
 
 
+def _counts(term: Term, c: np.ndarray, n_ann: int) -> np.ndarray:
+    """(A, K, O) expected counts of one term: its rows' coefficients summed
+    per annotator, type and outcome."""
+    k, n_out = c.shape[1], term.n_out
+    idx = (term.ann[:, None] * k + np.arange(k)) * n_out + term.out[:, None]
+    return np.bincount(idx.ravel(), weights=c[term.rows].ravel(),
+                       minlength=n_ann * k * n_out).reshape(n_ann, k, n_out)
+
+
 def _prop_objective(pack: _Pack, table: PropTable, c_all: np.ndarray,
                     n_ann: int):
     """Objective sum(c_all * row_logliks) and its gradient dict for one
-    property's observations, term by term.
+    property's observations, each term a group of one.
 
     c_all: (N, K) responsibility-times-weight coefficients per row."""
     grads = {name: np.zeros_like(arr) for name, arr in pack.arrays.items()}
     obj = 0.0
-    for prefix, family, rows, values in _terms(pack, table):
-        c = c_all[rows]
-        ll, g = family(pack.arrays, prefix, table.ann[rows], values, c, n_ann)
-        obj += float(np.sum(c * ll))
+    for term in table.terms:
+        o, g = term.family(_block(pack.arrays, term.prefix),
+                           _counts(term, c_all, n_ann))
+        obj += o
         for name, garr in g.items():
-            grads[name] += garr
+            grads[term.prefix + name] += garr
     return obj, grads
+
+
+def _penalty(rho, prec, logdet):
+    """Summed Gaussian log-density of intercept rows rho (..., A, d) under
+    covariances with inverses prec (..., d, d) and log-determinants logdet
+    (...), and its gradient."""
+    grad = -np.einsum("...ad,...de->...ae", rho, prec)
+    n_ann, d = rho.shape[-2:]
+    obj = 0.5 * np.sum(grad * rho) - 0.5 * n_ann * (
+        np.sum(logdet) + np.size(logdet) * d * np.log(2 * np.pi))
+    return float(obj), grad
 
 
 def _penalty_terms(pack: _Pack, params: ModelParams):
-    """Gaussian intercept penalties for one property; returns
-    (objective, grads-by-array-name)."""
+    """Gaussian intercept penalties for one property, each block a group of
+    one; returns (objective, grads-by-array-name)."""
     obj = 0.0
     grads = {}
     for prefix, owner, attr, _ in _leaves(params.props[pack.name]):
-        name = prefix + "rho"
-        mat = pack.arrays[name]
-        sigma = getattr(owner, attr + "sigma")
-        if mat.ndim == 1:
-            var = float(np.atleast_2d(sigma)[0, 0])
-            obj += float(np.sum(-0.5 * mat ** 2 / var
-                                - 0.5 * np.log(2 * np.pi * var)))
-            grads[name] = -mat / var
-        else:
-            sigma = np.atleast_2d(sigma)
-            inv = np.linalg.inv(sigma)
-            _, logdet = np.linalg.slogdet(sigma)
-            obj += float(np.sum(-0.5 * np.einsum("ad,de,ae->a", mat, inv, mat)
-                                - 0.5 * logdet
-                                - 0.5 * mat.shape[1] * np.log(2 * np.pi)))
-            grads[name] = -mat @ inv
+        mat = pack.arrays[prefix + "rho"]
+        sigma = np.atleast_2d(getattr(owner, attr + "sigma"))
+        o, g = _penalty(mat.reshape(len(mat), len(sigma)),
+                        np.linalg.inv(sigma), np.linalg.slogdet(sigma)[1])
+        obj += o
+        grads[prefix + "rho"] = g.reshape(mat.shape)
     return obj, grads
+
+
+class _Group:
+    """Parameter blocks of one family and table shape, stacked on a leading
+    axis: the (pack, array prefix) of each block, arrays and gradient views
+    by short name, expected counts (P, A, K, O), and the inverse and
+    log-determinant of each block's intercept covariance, which stays fixed
+    during an M-step."""
+
+    def __init__(self, family, members, counts, sigmas):
+        self.family, self.members = family, members
+        self.counts = np.stack(counts)
+        sigma = np.stack([np.atleast_2d(s) for s in sigmas])
+        self.prec = np.linalg.inv(sigma)
+        self.logdet = np.linalg.slogdet(sigma)[1]
+        self.arrays = {name: np.stack([pack.arrays[prefix + name]
+                                       for pack, prefix in members])
+                       for name in _block(members[0][0].arrays, members[0][1])}
+        self.grads = {}
+
+    def evaluate(self, learn_rho: bool) -> float:
+        """Objective of the group; writes its gradient into the views."""
+        obj, grads = self.family(self.arrays, self.counts)
+        if learn_rho:
+            rho = self.arrays["rho"]
+            o, g = _penalty(rho.reshape(rho.shape[:2] + self.prec.shape[-1:]),
+                            self.prec, self.logdet)
+            obj += o
+            grads["rho"] += g.reshape(rho.shape)
+        for name, view in self.grads.items():
+            view[...] = grads[name]
+        return obj
+
+
+def _fuse(packs: dict[str, _Pack], params: ModelParams, schema: Schema,
+          obs: ObsIndex, post_mats: dict[str, np.ndarray], learn_rho: bool):
+    """The M-step's groups, and the parameter vector x and gradient g they
+    view.
+
+    Responsibilities are fixed during an M-step, so each term enters only
+    through its expected counts, built once here.  The blocks of every
+    property that share a family and table shape form one group.  Each
+    optimized group array is a view into x, its gradient a view into g, and
+    each pack array a row view of its group's array; without learn_rho the
+    rho arrays stay out of x and keep their values."""
+    n_ann = len(obs.annotators)
+    blocks: dict[tuple, tuple[list, list, list]] = {}
+    for spec in schema:
+        pack, table = packs[spec.name], obs.tables[spec.name]
+        c = post_mats[spec.group][table.elem] * table.weight[:, None]
+        sigma = {prefix: getattr(owner, attr + "sigma") for prefix, owner,
+                 attr, _ in _leaves(params.props[spec.name])}
+        for t in table.terms:
+            key = (t.family, pack.arrays[t.prefix + "mu"].shape, t.n_out)
+            members, counts, sigmas = blocks.setdefault(key, ([], [], []))
+            members.append((pack, t.prefix))
+            counts.append(_counts(t, c, n_ann))
+            sigmas.append(sigma[t.prefix])
+    groups = [_Group(key[0], *lists) for key, lists in blocks.items()]
+    opt = [(grp, name) for grp in groups for name in grp.arrays
+           if learn_rho or name != "rho"]
+    x = np.zeros(sum(grp.arrays[name].size for grp, name in opt))
+    g = np.zeros_like(x)
+    end = 0
+    for grp, name in opt:
+        arr = grp.arrays[name]
+        start, end = end, end + arr.size
+        x[start:end] = arr.ravel()
+        grp.arrays[name] = x[start:end].reshape(arr.shape)
+        grp.grads[name] = g[start:end].reshape(arr.shape)
+    for grp in groups:
+        for i, (pack, prefix) in enumerate(grp.members):
+            for name, arr in grp.arrays.items():
+                pack.arrays[prefix + name] = arr[i]
+    return groups, x, g
 
 
 class Adam:
@@ -161,57 +248,19 @@ def optimize_likelihoods(params: ModelParams, schema: Schema, obs: ObsIndex,
     """Maximize the expected weighted complete-data log-likelihood plus the
     intercept penalty via Adam; keeps the best-objective iterate.  Writes
     the result back into params and returns the best objective."""
-    n_ann = len(obs.annotators)
     packs = _packs_from_params(params, schema, obs.annotators)
-
-    tables = obs.tables
-    coeffs = {spec.name: post_mats[spec.group][tables[spec.name].elem]
-              * tables[spec.name].weight[:, None]
-              for spec in schema if len(tables[spec.name].elem)}
-
-    # each optimized array becomes a view into x, its gradient a view into
-    # g; without learn_rho the rho arrays stay out and keep their values
-    opt = [(pack, name) for pack in packs.values() for name in pack.arrays
-           if config.learn_rho or "rho" not in name]
-    x = np.zeros(sum(pack.arrays[name].size for pack, name in opt))
-    g = np.zeros_like(x)
-    grads = {pname: {} for pname in packs}
-    end = 0
-    for pack, name in opt:
-        arr = pack.arrays[name]
-        start, end = end, end + arr.size
-        x[start:end] = arr.ravel()
-        pack.arrays[name] = x[start:end].reshape(arr.shape)
-        grads[pack.name][name] = g[start:end].reshape(arr.shape)
-
-    def evaluate() -> float:
-        g[:] = 0.0
-        obj = 0.0
-        for pname, pack in packs.items():
-            views = grads[pname]
-            if pname in coeffs:
-                o, pg = _prop_objective(pack, tables[pname], coeffs[pname],
-                                        n_ann)
-                obj += o
-                for name, view in views.items():
-                    view += pg[name]
-            if config.learn_rho:
-                o, pg = _penalty_terms(pack, params)
-                obj += o
-                for name, garr in pg.items():
-                    views[name] += garr
-        if not np.isfinite(obj):
-            raise ArithmeticError(
-                f"non-finite M-step objective (properties: {list(coeffs)})")
-        return obj
-
+    groups, x, g = _fuse(packs, params, schema, obs, post_mats,
+                         config.learn_rho)
     adam = Adam(x, config.adam_lr, config.adam_beta1, config.adam_beta2,
                 config.adam_eps)
     best_obj, best = -np.inf, None
     for it in range(config.m_step_iters + 1):
         if it:
             adam.step(g)
-        obj = evaluate()
+        obj = sum(grp.evaluate(config.learn_rho) for grp in groups)
+        if not np.isfinite(obj):
+            raise ArithmeticError(
+                f"non-finite M-step objective (properties: {list(packs)})")
         if obj > best_obj:
             best_obj, best = obj, x.copy()
     x[...] = best

@@ -37,6 +37,15 @@ def log_sigmoid(z):
     return -np.log1p(np.exp(-_clamp(z)))
 
 
+def logsumexp(x, axis=None, keepdims=False):
+    """log(sum(exp(x))) over axis, shifted by the (finite) maximum."""
+    x = np.asarray(x, dtype=float)
+    mx = np.max(x, axis=axis, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    out = np.log(np.sum(np.exp(x - mx), axis=axis, keepdims=True)) + mx
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
 def log_softmax(z, axis=-1):
     z = np.asarray(z, dtype=float)
     m = np.max(z, axis=axis, keepdims=True)

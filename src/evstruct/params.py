@@ -210,16 +210,26 @@ def init_params(schema: Schema, inv: TypeInventory, seed: int = 0,
 # observation tables and per-row log-likelihoods across candidate types
 
 @dataclass
+class Term:
+    """One additive term of a property's row log-likelihood: the rows it
+    covers, each with its annotator and outcome.  The term depends on a row
+    only through that pair, so it is one (A, K, O) log-probability table."""
+    prefix: str                 # parameter block: "gate_", "", "start." ...
+    family: object              # the block's table function
+    n_out: int                  # outcomes O
+    rows: np.ndarray            # (n,) rows of the property table
+    ann: np.ndarray             # (n,) annotator index
+    out: np.ndarray             # (n,) outcome index
+
+
+@dataclass
 class PropTable:
     name: str
     spec: object
     elem: np.ndarray            # (N,) row into the kind's element registry
-    ann: np.ndarray             # (N,) annotator index
     present: np.ndarray         # (N,) bool; False only for hurdle-absent rows
-    bval: np.ndarray            # (N,) float, binary values
-    ival: np.ndarray            # (N,) int, categorical / ordinal values
-    tval: np.ndarray            # (N, 3) int, temporal outcome codes (-1 unused)
     weight: np.ndarray          # (N,) confidence weight
+    terms: list[Term]           # gate first, then the base blocks
 
 
 @dataclass
@@ -231,13 +241,39 @@ class ObsIndex:
     ann_index: dict[str, int]
 
 
+def _base_terms(spec, values: list) -> list[tuple]:
+    """(prefix, table function, outcomes, (n,) outcome index of each
+    observed value, -1 where the term does not apply) of each base
+    parameter block of a property."""
+    if spec.response == BINARY:
+        return [("", _binary_table, 2,
+                 np.array(values, dtype=bool).astype(int))]
+    if spec.response == CATEGORICAL:
+        return [("", _categorical_table, spec.n_categories,
+                 np.array(values, dtype=int))]
+    if spec.response == ORDINAL:
+        return [("", _ordinal_table, spec.n_levels,
+                 np.array(values, dtype=int) - 1)]
+    spans = [normalize_temporal(v) for v in values]
+    # the free order is None when the locks leave no free pair
+    return [(f"{block}.", _categorical_table, len(index),
+             np.array([index.get(getattr(o, attr), -1) for o in spans],
+                      dtype=int))
+            for block, attr, index in (
+                ("start", "lock_start", lk.LOCK_INDEX),
+                ("end", "lock_end", lk.LOCK_INDEX),
+                ("order", "free_order", lk.ORDER_INDEX))]
+
+
 def build_obs(corpus: list[DocumentGraph], schema: Schema,
               confidence_weighting: bool = True) -> ObsIndex:
     """Flatten a corpus into per-property observation tables.
 
     Rows are the observed answers plus one hurdle-absent row per annotator
     who answered a gated property's parent away from the gate; each row
-    carries its confidence weight (the gate parent's for absent rows)."""
+    carries its confidence weight (the gate parent's for absent rows).
+    Every parameter block of a property gets one term, with no rows where
+    nothing was observed for it."""
     elements: dict[str, list[tuple[int, str]]] = {
         "event": [], "entity": [], "role": [], "rel": []}
     pos: dict[str, dict[tuple[int, str], int]] = {
@@ -268,61 +304,46 @@ def build_obs(corpus: list[DocumentGraph], schema: Schema,
                 f"confidence; ridit score the corpus first")
         return float(rec.ridit_confidence)
 
+    gated = [spec for spec in schema if spec.gated]
     for doc_i, doc in enumerate(corpus):
         kinds = doc.element_kinds()
         by_element = doc.annotations_by_element()
         for element, records in sorted(by_element.items()):
-            kind = GROUP_FOR_ATTACH[kinds[element]]
-            answered = {(r.property, r.annotator): r for r in records}
+            e = elem_row(GROUP_FOR_ATTACH[kinds[element]], doc_i, element)
+            by_prop: dict[str, list] = {}
             for rec in records:
-                spec = schema[rec.property]
-                e = elem_row(kind, doc_i, element)
-                a = ann_row(rec.annotator)
-                rows[rec.property].append(
-                    (e, a, True, rec.value, weight_of(rec)))
-            for spec in schema:
-                if spec.gate is None or spec.group != kind:
-                    continue
+                by_prop.setdefault(rec.property, []).append(rec)
+                rows[schema[rec.property].name].append(
+                    (e, ann_row(rec.annotator), True, rec.value,
+                     weight_of(rec)))
+            for spec in gated:
                 parent_name, gate_value = spec.gate
-                for (prop, annotator), parent in answered.items():
-                    if prop != parent_name:
-                        continue
-                    if bool(parent.value) == gate_value:
-                        continue
-                    if (spec.name, annotator) in answered:
-                        continue
-                    e = elem_row(kind, doc_i, element)
-                    a = ann_row(annotator)
-                    rows[spec.name].append(
-                        (e, a, False, None, weight_of(parent)))
+                answered = {r.annotator for r in by_prop.get(spec.name, ())}
+                for parent in by_prop.get(parent_name, ()):
+                    if (bool(parent.value) != gate_value
+                            and parent.annotator not in answered):
+                        rows[spec.name].append(
+                            (e, ann_row(parent.annotator), False, None,
+                             weight_of(parent)))
 
     tables = {}
     for spec in schema:
         rlist = rows[spec.name]
-        n = len(rlist)
-        elem = np.array([r[0] for r in rlist], dtype=int)
-        ann = np.array([r[1] for r in rlist], dtype=int)
-        present = np.array([r[2] for r in rlist], dtype=bool)
-        weight = np.array([r[4] for r in rlist], dtype=float)
-        bval = np.zeros(n)
-        ival = np.zeros(n, dtype=int)
-        tval = np.full((n, 3), -1, dtype=int)
-        for i, r in enumerate(rlist):
-            if not r[2]:
-                continue
-            v = r[3]
-            if spec.response == BINARY:
-                bval[i] = 1.0 if v else 0.0
-            elif spec.response in (CATEGORICAL, ORDINAL):
-                ival[i] = int(v)
-            elif spec.response == TEMPORAL:
-                obs = normalize_temporal(v)
-                tval[i, 0] = lk.LOCK_INDEX[obs.lock_start]
-                tval[i, 1] = lk.LOCK_INDEX[obs.lock_end]
-                tval[i, 2] = (lk.ORDER_INDEX[obs.free_order]
-                              if obs.free_order is not None else -1)
-        tables[spec.name] = PropTable(spec.name, spec, elem, ann, present,
-                                      bval, ival, tval, weight)
+        elem, ann, present, weight = (
+            np.array([r[i] for r in rlist], dtype=dtype)
+            for i, dtype in ((0, int), (1, int), (2, bool), (4, float)))
+        terms = []
+        if spec.gated:
+            terms.append(Term("gate_", _binary_table, 2, np.arange(len(rlist)),
+                              ann, present.astype(int)))
+        sel = np.flatnonzero(present)
+        for prefix, family, n_out, out in _base_terms(
+                spec, [r[3] for r in rlist if r[2]]):
+            rows_t = sel[out >= 0]
+            terms.append(Term(prefix, family, n_out, rows_t, ann[rows_t],
+                              out[out >= 0]))
+        tables[spec.name] = PropTable(spec.name, spec, elem, present, weight,
+                                      terms)
     return ObsIndex(elements, pos, tables, annotators, ann_index)
 
 
@@ -386,104 +407,68 @@ def _packs_from_params(params: ModelParams, schema: Schema,
     return packs
 
 
-# one vectorized function per response family: the (N, K) log-likelihood
-# of N rows under each of K types; given responsibility-weighted row
-# coefficients c (N, K), also the gradient of sum(c * ll) by array name.
-
-def _binary_terms(arrays, prefix, ann, x, c=None, n_ann=0):
-    z = arrays[prefix + "mu"][None, :] + arrays[prefix + "rho"][ann][:, None]
-    ll = x[:, None] * lk.log_sigmoid(z) + (1.0 - x)[:, None] * lk.log_sigmoid(-z)
-    if c is None:
-        return ll
-    cg = c * (x[:, None] - lk.sigmoid(z))
-    drho = np.zeros(n_ann)
-    np.add.at(drho, ann, cg.sum(axis=1))
-    return ll, {prefix + "mu": cg.sum(axis=0), prefix + "rho": drho}
+def _block(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """One parameter block's arrays under their short names."""
+    return {name: arrays[prefix + name] for name in ("mu", "cut_raw", "rho")
+            if prefix + name in arrays}
 
 
-def _categorical_terms(arrays, prefix, ann, x, c=None, n_ann=0):
-    mu = arrays[prefix + "mu"]
-    z = mu[None, :, :] + arrays[prefix + "rho"][ann][:, None, :]
-    ls = lk.log_softmax(z, axis=-1)
-    n = len(x)
-    ll = ls[np.arange(n), :, x]
-    if c is None:
-        return ll
-    g = -np.exp(ls)
-    g[np.arange(n), :, x] += 1.0
-    drho = np.zeros((n_ann, mu.shape[-1]))
-    np.add.at(drho, ann, np.einsum("nk,nkc->nc", c, g))
-    return ll, {prefix + "mu": np.einsum("nk,nkc->kc", c, g),
-                prefix + "rho": drho}
+# one table function per response family: the (..., A, K, O) log-probability
+# of each outcome O for each annotator A under each type K, with any leading
+# axes stacking blocks of one shape; given expected counts n of that shape,
+# also sum(n * table) and its gradient by short array name.
+
+def _binary_table(b, n=None):
+    z = b["mu"][..., None, :] + b["rho"][..., :, None]         # (..., A, K)
+    logp = lk.log_sigmoid(np.stack([-z, z], axis=-1))
+    if n is None:
+        return logp
+    dz = n[..., 1] - n.sum(axis=-1) * lk.sigmoid(z)
+    return float(np.sum(n * logp)), {"mu": dz.sum(axis=-2),
+                                     "rho": dz.sum(axis=-1)}
 
 
-def _ordinal_terms(arrays, prefix, ann, j, c=None, n_ann=0):
+def _categorical_table(b, n=None):
+    logp = lk.log_softmax(b["mu"][..., None, :, :] + b["rho"][..., :, None, :])
+    if n is None:
+        return logp
+    dz = n - n.sum(axis=-1, keepdims=True) * np.exp(logp)
+    return float(np.sum(n * logp)), {"mu": dz.sum(axis=-3),
+                                     "rho": dz.sum(axis=-2)}
+
+
+def _ordinal_table(b, n=None):
     """Cumulative linked logit; gradients wrt mu, population raw cutpoints,
     and per-annotator raw offsets."""
-    mu = arrays[prefix + "mu"]
-    raw = arrays[prefix + "cut_raw"][None, :] + arrays[prefix + "rho"]
-    cuts = lk.cutpoints_from_raw(raw)           # (A, J-1)
-    J = cuts.shape[1] + 1
-    crow = cuts[ann]                            # (N, J-1)
-    n = len(j)
-    hi_cut = np.where(j < J, crow[np.arange(n), np.minimum(j, J - 1) - 1], 0.0)
-    lo_cut = np.where(j > 1, crow[np.arange(n), np.maximum(j - 2, 0)], 0.0)
-    hi = np.where((j < J)[:, None], lk.sigmoid(hi_cut[:, None] - mu[None, :]), 1.0)
-    lo = np.where((j > 1)[:, None], lk.sigmoid(lo_cut[:, None] - mu[None, :]), 0.0)
-    p = np.maximum(hi - lo, 1e-300)
-    ll = np.log(p)
-    if c is None:
-        return ll
-    dhi = np.where((j < J)[:, None], hi * (1.0 - hi), 0.0)
-    dlo = np.where((j > 1)[:, None], lo * (1.0 - lo), 0.0)
-    # cutpoint-space gradients, scattered per annotator
-    u = np.sum(c * dhi / p, axis=1)             # d/d cut[j-1]
-    l = -np.sum(c * dlo / p, axis=1)            # d/d cut[j-2]
-    dcut = np.zeros((n_ann, J - 1))
-    sel = j < J
-    np.add.at(dcut, (ann[sel], j[sel] - 1), u[sel])
-    sel = j > 1
-    np.add.at(dcut, (ann[sel], j[sel] - 2), l[sel])
-    draw = lk.raw_grad_from_cutpoint_grad(raw, dcut)   # (A, J-1) raw space
-    return ll, {prefix + "mu": np.sum(c * (dlo - dhi) / p, axis=0),
-                prefix + "cut_raw": draw.sum(axis=0), prefix + "rho": draw}
-
-
-def _terms(pack: _Pack, table: PropTable):
-    """(array prefix, family function, rows, values) for each non-empty
-    additive term of one property's row log-likelihood, in summation order:
-    the hurdle gate on every row, the base family on present rows, and each
-    temporal block (start, end, order) on the rows that carry it.
-
-    Rows are slice(None) where a term covers every row, so callers index
-    views rather than copies."""
-    rows = slice(None)
-    if "gate_mu" in pack.arrays:
-        yield "gate_", _binary_terms, rows, table.present.astype(float)
-        rows = table.present
-        if not rows.any():
-            return
-    if pack.spec.response == TEMPORAL:
-        for col, block in enumerate(("start", "end", "order")):
-            bsel = table.tval[:, col] >= 0     # -1 on unused and absent rows
-            if bsel.any():
-                yield (f"{block}.", _categorical_terms, bsel,
-                       table.tval[bsel, col])
-    elif pack.spec.response == BINARY:
-        yield "", _binary_terms, rows, table.bval[rows]
-    elif pack.spec.response == CATEGORICAL:
-        yield "", _categorical_terms, rows, table.ival[rows]
-    else:
-        yield "", _ordinal_terms, rows, table.ival[rows]
+    raw = b["cut_raw"][..., None, :] + b["rho"]           # (..., A, J-1)
+    cdf = lk.sigmoid(lk.cutpoints_from_raw(raw)[..., :, None, :]
+                     - b["mu"][..., None, :, None])       # (..., A, K, J-1)
+    edge = np.zeros(cdf.shape[:-1] + (1,))
+    cum = np.concatenate([edge, cdf, edge + 1.0], axis=-1)
+    p = np.maximum(cum[..., 1:] - cum[..., :-1], 1e-300)  # (..., A, K, J)
+    logp = np.log(p)
+    if n is None:
+        return logp
+    w = n / p
+    dcdf = (w[..., :-1] - w[..., 1:]) * cdf * (1.0 - cdf)       # d/d(cut - mu)
+    draw = lk.raw_grad_from_cutpoint_grad(raw, dcdf.sum(axis=-2))
+    return float(np.sum(n * logp)), {"mu": -dcdf.sum(axis=(-3, -1)),
+                                     "cut_raw": draw.sum(axis=-2),
+                                     "rho": draw}
 
 
 def row_logliks(pack: _Pack, table: PropTable) -> np.ndarray:
     """(N, K) log-likelihood of every observation row under each type,
-    including hurdle gate terms on present and absent rows."""
+    including hurdle gate terms on present and absent rows: each term's
+    table gathered at the row's annotator and outcome."""
     k = next(iter(pack.arrays.values())).shape[0]   # the first leaf's mu
     ll = np.zeros((len(table.elem), k))
-    for prefix, family, rows, values in _terms(pack, table):
-        ll[rows] += family(pack.arrays, prefix, table.ann[rows], values)
+    for term in table.terms:
+        if len(term.rows):
+            # a slice where the term covers every row: a view, not a scatter
+            rows = slice(None) if len(term.rows) == len(ll) else term.rows
+            logp = term.family(_block(pack.arrays, term.prefix))
+            ll[rows] += logp[term.ann, :, term.out]
     return ll
 
 
@@ -492,14 +477,14 @@ def item_logliks(packs: dict[str, _Pack], obs: ObsIndex, schema: Schema,
     """(n_items, K) weighted log-likelihood of each element of one kind.
     Row weights were fixed when the observation index was built."""
     n_items = len(obs.elements[kind])
-    out = np.zeros((n_items, k))
-    for spec in schema.group(kind):
-        table = obs.tables[spec.name]
-        if len(table.elem) == 0:
-            continue
-        ll = row_logliks(packs[spec.name], table)
-        np.add.at(out, table.elem, table.weight[:, None] * ll)
-    return out
+    tables = [obs.tables[spec.name] for spec in schema.group(kind)]
+    if not any(len(t.elem) for t in tables):
+        return np.zeros((n_items, k))
+    elem = np.concatenate([t.elem for t in tables])
+    ll = np.concatenate([t.weight[:, None] * row_logliks(packs[t.name], t)
+                         for t in tables])
+    return np.stack([np.bincount(elem, weights=ll[:, j], minlength=n_items)
+                     for j in range(k)], axis=1)
 
 
 # ---------------------------------------------------------------------------

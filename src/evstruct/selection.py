@@ -7,10 +7,10 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .corpus import DocumentGraph
 from .learning import FitConfig, optimize_likelihoods
+from .likelihoods import logsumexp
 from .params import (
     ModelParams, ObsIndex, TypeInventory, _packs_from_params, build_obs,
     init_params, item_logliks,

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -334,3 +336,57 @@ def test_checkpoint_type_count_out_of_range_is_data_error(tmp_path, capsys):
                 "--checkpoint", str(bad), "--schema", "flat",
                 "--out", str(tmp_path / "post")]) == EXIT_DATA
     assert "k_event must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("fit", "adam-lr", "x"),
+    ("fit", "k-event", "three"),
+    ("fit", "em-iters", 2.5),
+    ("select-k", "restarts", "two"),
+    ("synth", "docs", [4]),
+], ids=["adam-lr-str", "k-event-str", "em-iters-float", "restarts-str",
+        "docs-list"])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command,
+                                                   key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    missing = str(tmp_path / "missing.jsonl")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command != "synth":
+        argv += ["--corpus", missing]
+    if command == "select-k":
+        argv += ["--kind", "event", "--candidates", "2"]
+    capsys.readouterr()
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_config_values_take_their_flag_types(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    # a string holding a valid value is read as the flag would read it
+    cfg.write_text(json.dumps({"docs": "2", "seed": 3, "separation": "3.5",
+                               "k-event": "2", "k-entity": 2, "k-role": 2,
+                               "k-rel": 2}))
+    out = tmp_path / "out"
+    assert run(["synth", "--out", str(out), "--config", str(cfg),
+                "--schema", "flat"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["docs"] == 2
+    assert manifest["config"]["separation"] == 3.5
+
+
+def test_cli_imports_no_scipy():
+    # the runtime depends on numpy alone; scipy is a test-only dependency
+    import evstruct
+    src = os.path.dirname(os.path.dirname(evstruct.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import evstruct.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
