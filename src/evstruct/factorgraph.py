@@ -17,7 +17,9 @@ import numpy as np
 
 from .corpus import DocumentGraph, Node, doc_edge_id, edge_id
 from .likelihoods import logsumexp
-from .params import ModelParams, _packs_from_params, build_obs, item_logliks
+from .params import (
+    ModelParams, ObsIndex, _packs_from_params, build_obs, item_logliks,
+)
 from .schema import Schema
 
 _THETA_FLOOR = 1e-12
@@ -103,40 +105,30 @@ def _log(theta: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(theta, _THETA_FLOOR))
 
 
-def build_graph(doc: DocumentGraph, params: ModelParams, schema: Schema,
-                window: int, confidence_weighting: bool = True) -> FactorGraph:
-    """Construct the factor graph for one document."""
-    inv = params.inventory
-    variables: list[Variable] = []
-    factors: list[Factor] = []
+def _prior_graph(doc: DocumentGraph, params: ModelParams,
+                 window: int) -> FactorGraph:
+    """One document's variables, each with its prior factor: unary on a
+    node, ternary over the endpoint types and its own type on an edge."""
+    graph = FactorGraph(doc.doc_id, [], [], {})
+    priors = params.priors
 
-    def add_var(var_id, kind, k):
-        variables.append(Variable(var_id, kind, k))
-        return len(variables) - 1
+    def add(var_id, kind, theta, *ends):
+        i = graph.var_index[var_id] = len(graph.variables)
+        graph.variables.append(
+            Variable(var_id, kind, params.inventory.k_for(kind)))
+        graph.factors.append(Factor(
+            f"prior:{var_id}", "prior",
+            tuple(graph.var_index[e] for e in ends) + (i,), _log(theta)))
 
-    node_kind: dict[str, str] = {}
     for sent in doc.sentences:
         for pred in sent.predicates:
-            i = add_var(pred.node_id, "event", inv.k_event)
-            node_kind[pred.node_id] = "event"
-            factors.append(Factor(f"prior:{pred.node_id}", "prior", (i,),
-                                  _log(params.priors.theta_event)))
+            add(pred.node_id, "event", priors.theta_event)
         for arg in sent.arguments:
-            i = add_var(arg.node_id, "entity", inv.k_entity)
-            node_kind[arg.node_id] = "entity"
-            factors.append(Factor(f"prior:{arg.node_id}", "prior", (i,),
-                                  _log(params.priors.theta_entity)))
-    var_index = {v.var_id: i for i, v in enumerate(variables)}
-
+            add(arg.node_id, "entity", priors.theta_entity)
     for sent in doc.sentences:
         for pred_id, arg_id in sent.edges:
-            eid = edge_id(pred_id, arg_id)
-            i = add_var(eid, "role", inv.k_role)
-            var_index[eid] = i
-            factors.append(Factor(
-                f"prior:{eid}", "prior",
-                (var_index[pred_id], var_index[arg_id], i),
-                _log(params.priors.theta_role)))
+            add(edge_id(pred_id, arg_id), "role", priors.theta_role,
+                pred_id, arg_id)
 
     derived = derive_doc_edges(doc, window)
     derived_set = set(derived)
@@ -145,39 +137,45 @@ def build_graph(doc: DocumentGraph, params: ModelParams, schema: Schema,
             raise ConstructionError(
                 f"{doc.doc_id}: document edge {a}--{b} is not generated by "
                 f"the window-{window} enumeration")
-    for a, b in derived:
-        did = doc_edge_id(a, b)
-        block = "ee" if node_kind[b] == "event" else "en"
-        if node_kind[a] != "event":  # pragma: no cover - enumeration guarantees
-            raise ConstructionError(f"{doc.doc_id}: pair {a}--{b} does not "
-                                    f"start at a predicate")
-        i = add_var(did, "rel", inv.k_rel)
-        var_index[did] = i
-        factors.append(Factor(
-            f"prior:{did}", "prior",
-            (var_index[a], var_index[b], i),
-            _log(params.priors.theta_rel[block])))
+    for a, b in derived:            # a is always the current predicate
+        kind_b = graph.variables[graph.var_index[b]].kind
+        add(doc_edge_id(a, b), "rel",
+            priors.theta_rel["ee" if kind_b == "event" else "en"], a, b)
+    return graph
 
-    # one unary factor per annotated element: its weighted observation rows
-    # scored under every candidate type by the M-step's item_logliks
-    unknown = {r.element for r in doc.annotations} - doc.element_kinds().keys()
-    if unknown:
-        raise ConstructionError(
-            f"{doc.doc_id}: annotation on element {min(unknown)!r} which is "
-            f"not an element of the document")
-    obs = build_obs([doc], schema, confidence_weighting)
+
+def build_graphs(corpus: list[DocumentGraph], params: ModelParams,
+                 schema: Schema, window: int, obs: ObsIndex
+                 ) -> list[FactorGraph]:
+    """Construct the factor graph of every document of a corpus.
+
+    obs is the corpus's observation index.  Each annotated element gets
+    one unary factor: its weighted observation rows scored under every
+    candidate type by the M-step's item_logliks, once per kind for the
+    whole corpus, appended in obs.elements order."""
+    graphs = [_prior_graph(doc, params, window) for doc in corpus]
     packs = _packs_from_params(params, schema, obs.annotators)
     for kind, elements in obs.elements.items():
-        if not elements:
-            continue
-        lls = item_logliks(packs, obs, schema, kind, inv.k_for(kind))
-        for (_, element), logpot in zip(elements, lls):
-            if not np.all(np.isfinite(logpot)):
-                raise NumericalError(f"document {doc.doc_id}: non-finite "
-                                     f"potential in factor lik:{element}")
-            factors.append(Factor(f"lik:{element}", "likelihood",
-                                  (var_index[element],), logpot))
-    return FactorGraph(doc.doc_id, variables, factors, var_index)
+        lls = item_logliks(packs, obs, schema, kind,
+                           params.inventory.k_for(kind))
+        bad = ~np.isfinite(lls).all(axis=1)
+        if bad.any():
+            doc_i, element = elements[np.argmax(bad)]
+            raise NumericalError(f"document {graphs[doc_i].doc_id}: "
+                                 f"non-finite potential in factor "
+                                 f"lik:{element}")
+        for (doc_i, element), logpot in zip(elements, lls):
+            graph = graphs[doc_i]
+            graph.factors.append(Factor(f"lik:{element}", "likelihood",
+                                        (graph.var_index[element],), logpot))
+    return graphs
+
+
+def build_graph(doc: DocumentGraph, params: ModelParams, schema: Schema,
+                window: int, confidence_weighting: bool = True) -> FactorGraph:
+    """Construct the factor graph for one document: a corpus of one."""
+    obs = build_obs([doc], schema, confidence_weighting)
+    return build_graphs([doc], params, schema, window, obs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import likelihoods as lk
 from .corpus import DocumentGraph
-from .factorgraph import PosteriorSet, build_graph, loopy_bp_batch
+from .factorgraph import PosteriorSet, build_graphs, loopy_bp_batch
 from .params import (  # noqa: F401  (item_logliks re-exported)
     ModelParams, ObsIndex, OrdinalParams, PropTable, Term, TypeInventory,
     _Pack, _block, _leaves, _packs_from_params, build_obs, init_params,
@@ -274,9 +274,12 @@ def optimize_likelihoods(params: ModelParams, schema: Schema, obs: ObsIndex,
 # E-step, prior updates, EM driver
 
 def e_step(corpus: list[DocumentGraph], params: ModelParams, schema: Schema,
-           config: FitConfig) -> list[PosteriorSet]:
-    graphs = [build_graph(doc, params, schema, config.window,
-                          config.confidence_weighting) for doc in corpus]
+           config: FitConfig, obs: ObsIndex | None = None
+           ) -> list[PosteriorSet]:
+    """Loopy BP over a corpus, scored from its observation index obs."""
+    if obs is None:
+        obs = build_obs(corpus, schema, config.confidence_weighting)
+    graphs = build_graphs(corpus, params, schema, config.window, obs)
     return loopy_bp_batch(graphs, config.bp_max_iters, config.bp_damping,
                           config.bp_tol)
 
@@ -361,6 +364,7 @@ def fit(train: list[DocumentGraph], dev: list[DocumentGraph],
     if not train:
         raise ValueError("empty training corpus")
     obs = build_obs(train, schema, config.confidence_weighting)
+    dev_obs = build_obs(dev, schema, config.confidence_weighting)
     params = init_params(schema, inventory, seed=config.seed,
                          mu_scale=config.init_mu_scale,
                          annotators=obs.annotators)
@@ -369,17 +373,18 @@ def fit(train: list[DocumentGraph], dev: list[DocumentGraph],
     best_params = copy.deepcopy(params)
     stopped = "max-iters"
     for _ in range(config.max_em_iters):
-        posts = e_step(train, params, schema, config)
+        posts = e_step(train, params, schema, config, obs=obs)
         train_trace.append(total_evidence(posts))
         m_step(train, posts, params, schema, config, obs=obs)
-        dev_posts = e_step(dev, params, schema, config) if dev else []
+        dev_posts = (e_step(dev, params, schema, config, obs=dev_obs)
+                     if dev else [])
         dev_trace.append(total_evidence(dev_posts) if dev
                          else train_trace[-1])
         if len(dev_trace) >= 2 and dev_trace[-1] < dev_trace[-2]:
             stopped = "dev-decrease"
             break
         best_params = copy.deepcopy(params)
-    final_posts = e_step(train, best_params, schema, config)
+    final_posts = e_step(train, best_params, schema, config, obs=obs)
     return FitResult(params=best_params, train_evidence=train_trace,
                      dev_evidence=dev_trace, posteriors=final_posts,
                      stopped_reason=stopped)

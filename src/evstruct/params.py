@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import likelihoods as lk
-from .corpus import DocumentGraph, normalize_temporal
+from .corpus import ConsistencyError, DocumentGraph, normalize_temporal
 from .schema import (
     BINARY, CATEGORICAL, GROUP_FOR_ATTACH, ORDINAL, TEMPORAL, Schema,
 )
@@ -163,32 +163,26 @@ def default_cut_raw(n_levels: int) -> np.ndarray:
     return raw_from_cutpoints(cuts)
 
 
-def init_prop_params(spec, k: int, rng: np.random.Generator,
-                     mu_scale: float = 0.5) -> PropParams:
-    def binary():
-        return BinaryParams(mu=rng.normal(0.0, mu_scale, size=k))
-
+def init_prop_params(spec, k: int, draw) -> PropParams:
+    """One property's parameters for k types: each mu drawn by
+    draw(shape), default cutpoints, no annotator intercepts."""
     def categorical(nc):
-        return CategoricalParams(mu=rng.normal(0.0, mu_scale, size=(k, nc)))
-
-    def ordinal(nl):
-        return OrdinalParams(mu=rng.normal(0.0, mu_scale, size=k),
-                             cut_raw=default_cut_raw(nl))
+        return CategoricalParams(mu=draw((k, nc)))
 
     if spec.response == BINARY:
-        base = binary()
+        base = BinaryParams(mu=draw(k))
     elif spec.response == CATEGORICAL:
         base = categorical(spec.n_categories)
     elif spec.response == ORDINAL:
-        base = ordinal(spec.n_levels)
+        base = OrdinalParams(mu=draw(k),
+                             cut_raw=default_cut_raw(spec.n_levels))
     elif spec.response == TEMPORAL:
         base = TemporalParams(start=categorical(3), end=categorical(3),
                               order=categorical(3))
     else:  # pragma: no cover
         raise ValueError(spec.response)
     if spec.gated:
-        return HurdleParams(gate_mu=rng.normal(0.0, mu_scale, size=k),
-                            base=base)
+        return HurdleParams(gate_mu=draw(k), base=base)
     return base
 
 
@@ -200,8 +194,9 @@ def init_params(schema: Schema, inv: TypeInventory, seed: int = 0,
     rng = np.random.default_rng(seed)
     props = {}
     for spec in schema:
-        props[spec.name] = init_prop_params(spec, inv.k_for(spec.group), rng,
-                                            mu_scale)
+        props[spec.name] = init_prop_params(
+            spec, inv.k_for(spec.group),
+            lambda shape: rng.normal(0.0, mu_scale, size=shape))
     return ModelParams(inventory=inv, priors=PriorParams.uniform(inv),
                        props=props, annotators=list(annotators or []))
 
@@ -235,10 +230,8 @@ class PropTable:
 @dataclass
 class ObsIndex:
     elements: dict[str, list[tuple[int, str]]]   # kind -> [(doc i, element)]
-    pos: dict[str, dict[tuple[int, str], int]]
     tables: dict[str, PropTable]
     annotators: list[str]
-    ann_index: dict[str, int]
 
 
 def _base_terms(spec, values: list) -> list[tuple]:
@@ -276,75 +269,67 @@ def build_obs(corpus: list[DocumentGraph], schema: Schema,
     nothing was observed for it."""
     elements: dict[str, list[tuple[int, str]]] = {
         "event": [], "entity": [], "role": [], "rel": []}
-    pos: dict[str, dict[tuple[int, str], int]] = {
-        k: {} for k in elements}
-    annotators: list[str] = []
-    ann_index: dict[str, int] = {}
-    rows: dict[str, list] = {p.name: [] for p in schema}
+    ann_index: dict[str, int] = {}     # numbered in order of appearance
+    # per property: element, annotator, present, value and weight columns
+    cols: dict[str, tuple[list, ...]] = {
+        p.name: ([], [], [], [], []) for p in schema}
 
-    def elem_row(kind, doc_i, element):
-        key = (doc_i, element)
-        if key not in pos[kind]:
-            pos[kind][key] = len(elements[kind])
-            elements[kind].append(key)
-        return pos[kind][key]
-
-    def ann_row(name):
-        if name not in ann_index:
-            ann_index[name] = len(annotators)
-            annotators.append(name)
-        return ann_index[name]
-
-    def weight_of(rec):
-        if not confidence_weighting:
-            return 1.0
-        if rec.ridit_confidence is None:
+    def add_row(name, e, rec, present):
+        """One row of property name; an absent row carries the record of
+        its gate parent, whose annotator and weight it takes."""
+        if confidence_weighting and rec.ridit_confidence is None:
             raise ValueError(
                 f"annotation {rec.property} on {rec.element} lacks a ridit "
                 f"confidence; ridit score the corpus first")
-        return float(rec.ridit_confidence)
+        row = (e, ann_index.setdefault(rec.annotator, len(ann_index)),
+               present, rec.value if present else None,
+               float(rec.ridit_confidence) if confidence_weighting else 1.0)
+        for col, value in zip(cols[name], row):
+            col.append(value)
 
     gated = [spec for spec in schema if spec.gated]
     for doc_i, doc in enumerate(corpus):
         kinds = doc.element_kinds()
         by_element = doc.annotations_by_element()
         for element, records in sorted(by_element.items()):
-            e = elem_row(GROUP_FOR_ATTACH[kinds[element]], doc_i, element)
+            if element not in kinds:
+                raise ConsistencyError(
+                    f"{doc.doc_id}: annotation on element {element!r} which "
+                    f"is not an element of the document")
+            kind = GROUP_FOR_ATTACH[kinds[element]]
+            e = len(elements[kind])
+            elements[kind].append((doc_i, element))
             by_prop: dict[str, list] = {}
             for rec in records:
                 by_prop.setdefault(rec.property, []).append(rec)
-                rows[schema[rec.property].name].append(
-                    (e, ann_row(rec.annotator), True, rec.value,
-                     weight_of(rec)))
+                add_row(schema[rec.property].name, e, rec, True)
             for spec in gated:
                 parent_name, gate_value = spec.gate
                 answered = {r.annotator for r in by_prop.get(spec.name, ())}
                 for parent in by_prop.get(parent_name, ()):
                     if (bool(parent.value) != gate_value
                             and parent.annotator not in answered):
-                        rows[spec.name].append(
-                            (e, ann_row(parent.annotator), False, None,
-                             weight_of(parent)))
+                        add_row(spec.name, e, parent, False)
 
     tables = {}
     for spec in schema:
-        rlist = rows[spec.name]
+        elem, ann, present, values, weight = cols[spec.name]
         elem, ann, present, weight = (
-            np.array([r[i] for r in rlist], dtype=dtype)
-            for i, dtype in ((0, int), (1, int), (2, bool), (4, float)))
+            np.array(col, dtype=dtype) for col, dtype in (
+                (elem, int), (ann, int), (present, bool), (weight, float)))
         terms = []
         if spec.gated:
-            terms.append(Term("gate_", _binary_table, 2, np.arange(len(rlist)),
+            terms.append(Term("gate_", _binary_table, 2, np.arange(len(elem)),
                               ann, present.astype(int)))
         sel = np.flatnonzero(present)
         for prefix, family, n_out, out in _base_terms(
-                spec, [r[3] for r in rlist if r[2]]):
+                spec, [values[i] for i in sel]):
             rows_t = sel[out >= 0]
             terms.append(Term(prefix, family, n_out, rows_t, ann[rows_t],
                               out[out >= 0]))
         tables[spec.name] = PropTable(spec.name, spec, elem, present, weight,
                                       terms)
-    return ObsIndex(elements, pos, tables, annotators, ann_index)
+    return ObsIndex(elements, tables, list(ann_index))
 
 
 @dataclass
@@ -644,20 +629,17 @@ _FAMILY = {BinaryParams: BINARY, CategoricalParams: CATEGORICAL,
 
 
 def check_params(params: ModelParams, schema: Schema) -> None:
-    """Raise CheckpointError naming the first prior table or schema
-    property that params size for other type counts than the inventory's,
-    lack, or hold under another response family or hurdle gating."""
-    want = PriorParams.uniform(params.inventory)
-    tables = {f"theta_{n}": (getattr(params.priors, f"theta_{n}"),
-                             getattr(want, f"theta_{n}"))
-              for n in ("event", "entity", "role")}
-    tables.update({f"theta_rel.{b}": (params.priors.theta_rel.get(b), w)
-                   for b, w in want.theta_rel.items()})
-    for key, (have, need) in tables.items():
-        if np.shape(have) != need.shape:
-            raise CheckpointError(
-                f"checkpoint priors.{key} has shape {np.shape(have)}, but "
-                f"the inventory needs {need.shape}")
+    """Raise CheckpointError naming the first schema property that params
+    lack or hold under another response family or hurdle gating, or the
+    key path of the first prior table or mu, cut_raw, sigma or rho value
+    whose shape differs from freshly initialized parameters for the
+    inventory's type counts and the schema's outcomes."""
+    fresh = PriorParams.uniform(params.inventory)
+    fields = [(f"priors.theta_{n}", getattr(params.priors, f"theta_{n}"),
+               getattr(fresh, f"theta_{n}"))
+              for n in ("event", "entity", "role")]
+    fields += [(f"priors.theta_rel.{b}", params.priors.theta_rel.get(b), w)
+               for b, w in fresh.theta_rel.items()]
     for spec in schema:
         pp = params.props.get(spec.name)
         if pp is None:
@@ -670,13 +652,25 @@ def check_params(params: ModelParams, schema: Schema) -> None:
                 f"checkpoint property {spec.name} is "
                 f"{'gated ' if gated else ''}{family}; the schema declares "
                 f"{'gated ' if spec.gated else ''}{spec.response}")
-        k = params.inventory.k_for(spec.group)
-        for prefix, owner, attr, _ in _leaves(pp):
-            shape = np.shape(getattr(owner, attr + "mu"))
-            if shape[:1] != (k,):
-                raise CheckpointError(
-                    f"checkpoint property {spec.name}: {prefix}mu has shape "
-                    f"{shape}, but the inventory has {k} {spec.group} types")
+        # zeros, not random draws: checking loads no numpy.random
+        template = init_prop_params(spec, params.inventory.k_for(spec.group),
+                                    np.zeros)
+        for (prefix, owner, attr, _), (_, want, _, width) in zip(
+                _leaves(pp), _leaves(template)):
+            path = (f"props.{spec.name}."
+                    f"{'base.' if gated and attr != 'gate_' else ''}{prefix}")
+            fields += [(path + name, getattr(owner, attr + name),
+                        getattr(want, attr + name))
+                       for name in ("mu", "cut_raw", "sigma")
+                       if hasattr(want, attr + name)]
+            rho = getattr(owner, attr + "rho")
+            fields += [(f"{path}rho.{a}", rho[a], np.zeros(width or ()))
+                       for a in sorted(rho)]
+    for key, have, need in fields:
+        if np.shape(have) != np.shape(need):
+            raise CheckpointError(
+                f"checkpoint {key} has shape {np.shape(have)}, but the "
+                f"inventory and schema need {np.shape(need)}")
 
 
 def save_params(params: ModelParams, path) -> None:

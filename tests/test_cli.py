@@ -13,6 +13,9 @@ from evstruct import cli
 from evstruct.cli import (
     CONFIG_ENV_VAR, EXIT_COMPUTE, EXIT_DATA, EXIT_USAGE, run,
 )
+from evstruct.schema import (
+    CATEGORICAL, PRED_ARG_EDGE, PropertySpec, Schema, default_schema,
+)
 
 
 def sha256(path):
@@ -390,3 +393,50 @@ def test_cli_imports_no_scipy():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def _widen_temporal_start(props):
+    start = props["temporal_relation"]["start"]
+    start["mu"] = [row + [0.0] for row in start["mu"]]
+    start["rho"] = {a: v + [0.0] for a, v in start["rho"].items()} \
+        or {"ann0": [0.0] * 4}
+    start["sigma"] = np.eye(4).tolist()
+
+
+def _drop_cutpoints(props):
+    base = props["part_duration"]["base"]
+    base["cut_raw"] = base["cut_raw"][:-2]
+
+
+def _wide_rho_row(props):
+    props["manner"]["rho"]["ann0"] = [0.0] * 4
+
+
+@pytest.mark.parametrize("edit, key, have, need", [
+    (_widen_temporal_start, "props.temporal_relation.start.mu", "(2, 4)",
+     "(2, 3)"),
+    (_drop_cutpoints, "props.part_duration.base.cut_raw", "(9,)", "(11,)"),
+    (_wide_rho_row, "props.manner.rho.ann0", "(4,)", "(3,)"),
+], ids=["temporal-block", "ordinal-cutpoints", "categorical-rho"])
+def test_checkpoint_outcome_width_is_data_error(tmp_path, capsys, edit, key,
+                                                have, need):
+    # the default schema plus a 3-category role property
+    schema = tmp_path / "schema.json"
+    Schema(default_schema().properties + (PropertySpec(
+        "manner", "role", PRED_ARG_EDGE, CATEGORICAL, n_categories=3),)
+    ).save(schema)
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "3", "--seed", "1",
+                "--schema", str(schema), "--k-event", "3", "--k-entity", "2",
+                "--k-role", "2", "--k-rel", "2"]) == 0
+    obj = json.loads((data / "true_params.json").read_text())
+    edit(obj["props"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["posteriors", "--corpus", str(data / "corpus.jsonl"),
+                "--schema", str(schema), "--checkpoint", str(bad),
+                "--out", str(tmp_path / "post")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert f"{key} has shape {have}" in err and f"need {need}" in err
