@@ -26,7 +26,7 @@ from .agreement import (
 )
 from .corpus import CorpusError, DocumentGraph, load_corpus, prepare_corpus, save_corpus
 from .factorgraph import NumericalError
-from .learning import FitConfig, e_step, fit
+from .learning import FitConfig, build_obs, e_step, fit
 from .params import (
     CheckpointError, TypeInventory, check_params, load_params, save_params,
 )
@@ -345,7 +345,8 @@ def _cmd_select_k(args, config):
     _from_flags(check_candidates, candidates)
     schema = _schema_from_arg(args.schema)
     docs = _load_prepared(args.corpus, schema)
-    train, dev = _split(docs, _resolve(args, config, "dev-fraction", 0.2))
+    dev_fraction = _resolve(args, config, "dev-fraction", 0.2)
+    train, dev = _split(docs, dev_fraction)
     report = select_k(train, dev, args.kind, candidates, schema, sc)
     _dump_json(report.to_obj(), os.path.join(args.out, "selection.json"))
     with open(os.path.join(args.out, "selection.txt"), "w") as fh:
@@ -353,7 +354,12 @@ def _cmd_select_k(args, config):
     _write_manifest(args.out, "select-k",
                     {"kind": args.kind, "candidates": candidates,
                      "restarts": sc.restarts,
-                     "bootstrap-samples": sc.bootstrap_samples},
+                     "mixture-em-iters": sc.em_iters,
+                     "bootstrap-samples": sc.bootstrap_samples,
+                     "level": sc.level, "dev-fraction": dev_fraction,
+                     "m-step-iters": fc.m_step_iters, "adam-lr": fc.adam_lr,
+                     "confidence-weighting": fc.confidence_weighting,
+                     "learn-rho": fc.learn_rho},
                     [args.corpus] + _schema_input(args.schema),
                     seed, started)
     return 0
@@ -382,10 +388,11 @@ def _cmd_compare_fits(args, config):
     fc = _fit_config(args, config)
     schema = _schema_from_arg(args.schema)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
+    obs = build_obs(docs, schema, fc.confidence_weighting)
     posts_a = e_step(docs, _load_checkpoint(args.checkpoint_a, schema),
-                     schema, fc)
+                     schema, fc, obs=obs)
     posts_b = e_step(docs, _load_checkpoint(args.checkpoint_b, schema),
-                     schema, fc)
+                     schema, fc, obs=obs)
     mat = analysis.confusion(posts_a, posts_b, args.kind)
     with open(os.path.join(args.out, "confusion.tsv"), "w") as fh:
         fh.write("\t".join(f"b{t}" for t in range(mat.shape[1])) + "\n")

@@ -6,8 +6,8 @@ The M-step objective contracts the outcome tables that params computes,
 one table function per response family, with expected counts per
 (annotator, type, outcome): the responsibility-weighted rows the E-step
 scores, summed once per M-step.  Its machinery (objective, gradients,
-Adam) is shared with the flat mixture models used for type-count
-selection.
+Adam) runs over a stack of fits: a full model fit is a stack of one, and
+type-count selection stacks every restart of every candidate type count.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import numpy as np
 from . import likelihoods as lk
 from .corpus import DocumentGraph
 from .factorgraph import PosteriorSet, build_graphs, loopy_bp_batch
-from .params import (  # noqa: F401  (item_logliks re-exported)
+from .params import (  # noqa: F401  (re-exports for callers and tests)
     ModelParams, ObsIndex, OrdinalParams, PropTable, Term, TypeInventory,
-    _Pack, _block, _leaves, _packs_from_params, build_obs, init_params,
-    item_logliks,
+    _Pack, _block, _leaves, _packs_from_params, _padded_packs, build_obs,
+    init_params, item_logliks,
 )
 from .schema import Schema
 
@@ -73,13 +73,14 @@ class FitResult:
 def _params_from_packs(params: ModelParams, schema: Schema,
                        annotators: list[str],
                        packs: dict[str, _Pack]) -> None:
-    """Write the packed arrays back into params: each block's mu, rho dict
-    (in annotators order) and sigma re-estimated from the rho rows, with
-    ordinal cutpoints recentred."""
+    """Write the packed arrays back into params: each block's mu (without
+    any padding rows), rho dict (in annotators order) and sigma re-estimated
+    from the rho rows, with ordinal cutpoints recentred."""
     for spec in schema:
         arrays = packs[spec.name].arrays
+        k = params.inventory.k_for(spec.group)
         for prefix, owner, attr, width in _leaves(params.props[spec.name]):
-            setattr(owner, attr + "mu", arrays[prefix + "mu"])
+            setattr(owner, attr + "mu", arrays[prefix + "mu"][:k])
             mat = arrays[prefix + "rho"]
             setattr(owner, attr + "rho",
                     {a: float(mat[i]) if width is None else np.array(mat[i])
@@ -96,12 +97,16 @@ def _params_from_packs(params: ModelParams, schema: Schema,
 
 
 def _counts(term: Term, c: np.ndarray, n_ann: int) -> np.ndarray:
-    """(A, K, O) expected counts of one term: its rows' coefficients summed
-    per annotator, type and outcome."""
-    k, n_out = c.shape[1], term.n_out
-    idx = (term.ann[:, None] * k + np.arange(k)) * n_out + term.out[:, None]
-    return np.bincount(idx.ravel(), weights=c[term.rows].ravel(),
-                       minlength=n_ann * k * n_out).reshape(n_ann, k, n_out)
+    """(..., A, K, O) expected counts of one term: its rows' coefficients
+    c (..., N, K) summed per annotator, type and outcome, for each index of
+    the leading (fit) axes."""
+    lead, k, n_out = c.shape[:-2], c.shape[-1], term.n_out
+    fits = np.arange(int(np.prod(lead)))
+    idx = (((fits[:, None, None] * n_ann + term.ann[:, None]) * k
+            + np.arange(k)) * n_out + term.out[:, None])
+    return np.bincount(idx.ravel(), weights=c[..., term.rows, :].ravel(),
+                       minlength=len(fits) * n_ann * k * n_out
+                       ).reshape(lead + (n_ann, k, n_out))
 
 
 def _prop_objective(pack: _Pack, table: PropTable, c_all: np.ndarray,
@@ -115,21 +120,28 @@ def _prop_objective(pack: _Pack, table: PropTable, c_all: np.ndarray,
     for term in table.terms:
         o, g = term.family(_block(pack.arrays, term.prefix),
                            _counts(term, c_all, n_ann))
-        obj += o
+        obj += float(np.sum(o))
         for name, garr in g.items():
             grads[term.prefix + name] += garr
     return obj, grads
 
 
-def _penalty(rho, prec, logdet):
+def _per_fit(a, n_fits: int) -> np.ndarray:
+    """(n_fits,) sums of a over each fit's equal, consecutive share of its
+    leading axis."""
+    return np.reshape(a, (n_fits, -1)).sum(axis=1)
+
+
+def _penalty(rho, prec, logdet, n_fits: int = 1):
     """Summed Gaussian log-density of intercept rows rho (..., A, d) under
     covariances with inverses prec (..., d, d) and log-determinants logdet
-    (...), and its gradient."""
+    (...), per fit of n_fits sharing the leading axis, and its gradient."""
     grad = -np.einsum("...ad,...de->...ae", rho, prec)
     n_ann, d = rho.shape[-2:]
-    obj = 0.5 * np.sum(grad * rho) - 0.5 * n_ann * (
-        np.sum(logdet) + np.size(logdet) * d * np.log(2 * np.pi))
-    return float(obj), grad
+    obj = 0.5 * _per_fit(grad * rho, n_fits) - 0.5 * n_ann * (
+        _per_fit(logdet, n_fits)
+        + np.size(logdet) // n_fits * d * np.log(2 * np.pi))
+    return obj, grad
 
 
 def _penalty_terms(pack: _Pack, params: ModelParams):
@@ -142,20 +154,21 @@ def _penalty_terms(pack: _Pack, params: ModelParams):
         sigma = np.atleast_2d(getattr(owner, attr + "sigma"))
         o, g = _penalty(mat.reshape(len(mat), len(sigma)),
                         np.linalg.inv(sigma), np.linalg.slogdet(sigma)[1])
-        obj += o
+        obj += o[0]
         grads[prefix + "rho"] = g.reshape(mat.shape)
     return obj, grads
 
 
 class _Group:
     """Parameter blocks of one family and table shape, stacked on a leading
-    axis: the (pack, array prefix) of each block, arrays and gradient views
-    by short name, expected counts (P, A, K, O), and the inverse and
-    log-determinant of each block's intercept covariance, which stays fixed
-    during an M-step."""
+    axis, fit by fit: the (pack, array prefix) of each block, arrays and
+    gradient views by short name, expected counts (P, A, K, O), and the
+    inverse and log-determinant of each block's intercept covariance, which
+    stays fixed during an M-step.  Every fit of the stack owns the same
+    number of consecutive blocks."""
 
-    def __init__(self, family, members, counts, sigmas):
-        self.family, self.members = family, members
+    def __init__(self, family, members, counts, sigmas, n_fits):
+        self.family, self.members, self.n_fits = family, members, n_fits
         self.counts = np.stack(counts)
         sigma = np.stack([np.atleast_2d(s) for s in sigmas])
         self.prec = np.linalg.inv(sigma)
@@ -165,13 +178,15 @@ class _Group:
                        for name in _block(members[0][0].arrays, members[0][1])}
         self.grads = {}
 
-    def evaluate(self, learn_rho: bool) -> float:
-        """Objective of the group; writes its gradient into the views."""
-        obj, grads = self.family(self.arrays, self.counts)
+    def evaluate(self, learn_rho: bool) -> np.ndarray:
+        """(n_fits,) objective of each fit's blocks; writes the gradient
+        into the views."""
+        terms, grads = self.family(self.arrays, self.counts)
+        obj = _per_fit(terms, self.n_fits)
         if learn_rho:
             rho = self.arrays["rho"]
             o, g = _penalty(rho.reshape(rho.shape[:2] + self.prec.shape[-1:]),
-                            self.prec, self.logdet)
+                            self.prec, self.logdet, self.n_fits)
             obj += o
             grads["rho"] += g.reshape(rho.shape)
         for name, view in self.grads.items():
@@ -179,47 +194,71 @@ class _Group:
         return obj
 
 
-def _fuse(packs: dict[str, _Pack], params: ModelParams, schema: Schema,
-          obs: ObsIndex, post_mats: dict[str, np.ndarray], learn_rho: bool):
-    """The M-step's groups, and the parameter vector x and gradient g they
-    view.
+def _one_fit(post_mats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One fit's posterior matrices as a stack of one."""
+    return {kind: mat[None] for kind, mat in post_mats.items()}
 
-    Responsibilities are fixed during an M-step, so each term enters only
-    through its expected counts, built once here.  The blocks of every
-    property that share a family and table shape form one group.  Each
-    optimized group array is a view into x, its gradient a view into g, and
-    each pack array a row view of its group's array; without learn_rho the
-    rho arrays stay out of x and keep their values."""
-    n_ann = len(obs.annotators)
-    blocks: dict[tuple, tuple[list, list, list]] = {}
+
+def _fuse_fits(packs: list[dict[str, _Pack]], fits: list[ModelParams],
+               schema: Schema, obs: ObsIndex,
+               post_mats: dict[str, np.ndarray], learn_rho: bool):
+    """The M-step's groups over a stack of fits, the parameter vector x and
+    gradient g they view, and the fit of each entry of x.
+
+    packs and fits hold each fit's packs (every mu padded to the largest
+    type count of the stack) and parameters; post_mats[kind] is (F, n, K),
+    zero in padded columns.  Responsibilities are fixed during an M-step,
+    so each term enters only through its expected counts, built once here.
+    The blocks of every fit and property that share a family and table
+    shape form one group, fit by fit.  Each optimized group array is a view
+    into x, its gradient a view into g, and each pack array a row view of
+    its group's array; without learn_rho the rho arrays stay out of x and
+    keep their values."""
+    n_ann, n_fits = len(obs.annotators), len(fits)
+    counts = {}
     for spec in schema:
-        pack, table = packs[spec.name], obs.tables[spec.name]
-        c = post_mats[spec.group][table.elem] * table.weight[:, None]
-        sigma = {prefix: getattr(owner, attr + "sigma") for prefix, owner,
-                 attr, _ in _leaves(params.props[spec.name])}
+        table = obs.tables[spec.name]
+        c = post_mats[spec.group][:, table.elem] * table.weight[:, None]
         for t in table.terms:
-            key = (t.family, pack.arrays[t.prefix + "mu"].shape, t.n_out)
-            members, counts, sigmas = blocks.setdefault(key, ([], [], []))
-            members.append((pack, t.prefix))
-            counts.append(_counts(t, c, n_ann))
-            sigmas.append(sigma[t.prefix])
-    groups = [_Group(key[0], *lists) for key, lists in blocks.items()]
+            counts[spec.name, t.prefix] = _counts(t, c, n_ann)
+    blocks: dict[tuple, tuple[list, list, list]] = {}
+    for f, (fit_packs, params) in enumerate(zip(packs, fits)):
+        for spec in schema:
+            pack = fit_packs[spec.name]
+            sigma = {prefix: getattr(owner, attr + "sigma") for prefix, owner,
+                     attr, _ in _leaves(params.props[spec.name])}
+            for t in obs.tables[spec.name].terms:
+                key = (t.family, pack.arrays[t.prefix + "mu"].shape, t.n_out)
+                members, cts, sigmas = blocks.setdefault(key, ([], [], []))
+                members.append((pack, t.prefix))
+                cts.append(counts[spec.name, t.prefix][f])
+                sigmas.append(sigma[t.prefix])
+    groups = [_Group(key[0], *lists, n_fits) for key, lists in blocks.items()]
     opt = [(grp, name) for grp in groups for name in grp.arrays
            if learn_rho or name != "rho"]
     x = np.zeros(sum(grp.arrays[name].size for grp, name in opt))
     g = np.zeros_like(x)
+    x_fit = np.zeros(len(x), dtype=int)
     end = 0
     for grp, name in opt:
         arr = grp.arrays[name]
         start, end = end, end + arr.size
         x[start:end] = arr.ravel()
+        x_fit[start:end] = np.arange(arr.size) * n_fits // arr.size
         grp.arrays[name] = x[start:end].reshape(arr.shape)
         grp.grads[name] = g[start:end].reshape(arr.shape)
     for grp in groups:
         for i, (pack, prefix) in enumerate(grp.members):
             for name, arr in grp.arrays.items():
                 pack.arrays[prefix + name] = arr[i]
-    return groups, x, g
+    return groups, x, g, x_fit
+
+
+def _fuse(packs: dict[str, _Pack], params: ModelParams, schema: Schema,
+          obs: ObsIndex, post_mats: dict[str, np.ndarray], learn_rho: bool):
+    """One fit's groups, parameter vector and gradient: a stack of one."""
+    return _fuse_fits([packs], [params], schema, obs, _one_fit(post_mats),
+                      learn_rho)[:3]
 
 
 class Adam:
@@ -242,32 +281,53 @@ class Adam:
         self.x += self.lr * mh / (np.sqrt(vh) + self.eps)
 
 
+def _optimize_fits(fits: list[ModelParams], schema: Schema, obs: ObsIndex,
+                   post_mats: dict[str, np.ndarray], config: FitConfig,
+                   names: list[str] | None = None) -> np.ndarray:
+    """Maximize each fit's expected weighted complete-data log-likelihood
+    plus intercept penalty by one Adam run over the stack of fits, keeping
+    each fit's best-objective iterate.  post_mats[kind] is (F, n, K), with
+    K the largest type count of the kind among the fits and zeros in the
+    columns of the others.  Writes each fit's result back into its
+    parameters and returns the (F,) best objectives.  A non-finite objective
+    raises ArithmeticError naming the fit by names, if given."""
+    packs = _padded_packs(fits, schema, obs.annotators)
+    groups, x, g, x_fit = _fuse_fits(packs, fits, schema, obs, post_mats,
+                                     config.learn_rho)
+    adam = Adam(x, config.adam_lr, config.adam_beta1, config.adam_beta2,
+                config.adam_eps)
+    best_obj, best = np.full(len(fits), -np.inf), x.copy()
+    for it in range(config.m_step_iters + 1):
+        if it:
+            adam.step(g)
+        obj = sum((grp.evaluate(config.learn_rho) for grp in groups),
+                  np.zeros(len(fits)))
+        bad = ~np.isfinite(obj)
+        if bad.any():
+            where = f" in {names[np.argmax(bad)]}" if names else ""
+            raise ArithmeticError(
+                f"non-finite M-step objective{where} (properties: "
+                f"{[spec.name for spec in schema]})")
+        better = obj > best_obj
+        best_obj[better] = obj[better]
+        np.copyto(best, x, where=better[x_fit])
+    x[...] = best
+
+    for params, fit_packs in zip(fits, packs):
+        _params_from_packs(params, schema, obs.annotators, fit_packs)
+        params.annotators = list(obs.annotators)
+    return best_obj
+
+
 def optimize_likelihoods(params: ModelParams, schema: Schema, obs: ObsIndex,
                          post_mats: dict[str, np.ndarray],
                          config: FitConfig) -> float:
     """Maximize the expected weighted complete-data log-likelihood plus the
     intercept penalty via Adam; keeps the best-objective iterate.  Writes
-    the result back into params and returns the best objective."""
-    packs = _packs_from_params(params, schema, obs.annotators)
-    groups, x, g = _fuse(packs, params, schema, obs, post_mats,
-                         config.learn_rho)
-    adam = Adam(x, config.adam_lr, config.adam_beta1, config.adam_beta2,
-                config.adam_eps)
-    best_obj, best = -np.inf, None
-    for it in range(config.m_step_iters + 1):
-        if it:
-            adam.step(g)
-        obj = sum(grp.evaluate(config.learn_rho) for grp in groups)
-        if not np.isfinite(obj):
-            raise ArithmeticError(
-                f"non-finite M-step objective (properties: {list(packs)})")
-        if obj > best_obj:
-            best_obj, best = obj, x.copy()
-    x[...] = best
-
-    _params_from_packs(params, schema, obs.annotators, packs)
-    params.annotators = list(obs.annotators)
-    return best_obj
+    the result back into params and returns the best objective: a stack of
+    one fit."""
+    return float(_optimize_fits([params], schema, obs, _one_fit(post_mats),
+                                config)[0])
 
 
 # ---------------------------------------------------------------------------

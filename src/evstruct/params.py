@@ -392,6 +392,24 @@ def _packs_from_params(params: ModelParams, schema: Schema,
     return packs
 
 
+def _padded_packs(fits: list[ModelParams], schema: Schema,
+                  annotators: list[str]) -> list[dict[str, _Pack]]:
+    """Each fit's packs, every mu padded with zero rows up to the largest
+    type count of its group among the fits, so that the fits stack."""
+    k_max = {spec.group: max(p.inventory.k_for(spec.group) for p in fits)
+             for spec in schema}
+    out = [_packs_from_params(params, schema, annotators) for params in fits]
+    for params, packs in zip(fits, out):
+        for pack in packs.values():
+            pad = k_max[pack.spec.group] - params.inventory.k_for(
+                pack.spec.group)
+            for name, arr in pack.arrays.items():
+                if pad and name.endswith("mu"):
+                    pack.arrays[name] = np.concatenate(
+                        [arr, np.zeros((pad,) + arr.shape[1:])])
+    return out
+
+
 def _block(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
     """One parameter block's arrays under their short names."""
     return {name: arrays[prefix + name] for name in ("mu", "cut_raw", "rho")
@@ -401,7 +419,8 @@ def _block(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
 # one table function per response family: the (..., A, K, O) log-probability
 # of each outcome O for each annotator A under each type K, with any leading
 # axes stacking blocks of one shape; given expected counts n of that shape,
-# also sum(n * table) and its gradient by short array name.
+# also the products n * table, which the caller sums, and the gradient of
+# their sum by short array name.
 
 def _binary_table(b, n=None):
     z = b["mu"][..., None, :] + b["rho"][..., :, None]         # (..., A, K)
@@ -409,8 +428,7 @@ def _binary_table(b, n=None):
     if n is None:
         return logp
     dz = n[..., 1] - n.sum(axis=-1) * lk.sigmoid(z)
-    return float(np.sum(n * logp)), {"mu": dz.sum(axis=-2),
-                                     "rho": dz.sum(axis=-1)}
+    return n * logp, {"mu": dz.sum(axis=-2), "rho": dz.sum(axis=-1)}
 
 
 def _categorical_table(b, n=None):
@@ -418,8 +436,7 @@ def _categorical_table(b, n=None):
     if n is None:
         return logp
     dz = n - n.sum(axis=-1, keepdims=True) * np.exp(logp)
-    return float(np.sum(n * logp)), {"mu": dz.sum(axis=-3),
-                                     "rho": dz.sum(axis=-2)}
+    return n * logp, {"mu": dz.sum(axis=-3), "rho": dz.sum(axis=-2)}
 
 
 def _ordinal_table(b, n=None):
@@ -437,39 +454,48 @@ def _ordinal_table(b, n=None):
     w = n / p
     dcdf = (w[..., :-1] - w[..., 1:]) * cdf * (1.0 - cdf)       # d/d(cut - mu)
     draw = lk.raw_grad_from_cutpoint_grad(raw, dcdf.sum(axis=-2))
-    return float(np.sum(n * logp)), {"mu": -dcdf.sum(axis=(-3, -1)),
-                                     "cut_raw": draw.sum(axis=-2),
-                                     "rho": draw}
+    return n * logp, {"mu": -dcdf.sum(axis=(-3, -1)),
+                      "cut_raw": draw.sum(axis=-2), "rho": draw}
 
 
 def row_logliks(pack: _Pack, table: PropTable) -> np.ndarray:
-    """(N, K) log-likelihood of every observation row under each type,
+    """(N, ..., K) log-likelihood of every observation row under each type,
     including hurdle gate terms on present and absent rows: each term's
-    table gathered at the row's annotator and outcome."""
-    k = next(iter(pack.arrays.values())).shape[0]   # the first leaf's mu
-    ll = np.zeros((len(table.elem), k))
-    for term in table.terms:
+    table gathered at the row's annotator and outcome.  The middle axes are
+    the leading (fit) axes of the pack's arrays, if any."""
+    logps = [term.family(_block(pack.arrays, term.prefix))
+             for term in table.terms]
+    shape = logps[0].shape                          # (..., A, K, O)
+    ll = np.zeros((len(table.elem),) + shape[:-3] + shape[-2:-1])
+    for term, logp in zip(table.terms, logps):
         if len(term.rows):
             # a slice where the term covers every row: a view, not a scatter
             rows = slice(None) if len(term.rows) == len(ll) else term.rows
-            logp = term.family(_block(pack.arrays, term.prefix))
-            ll[rows] += logp[term.ann, :, term.out]
+            ll[rows] += logp[..., term.ann, :, term.out]
     return ll
 
 
 def item_logliks(packs: dict[str, _Pack], obs: ObsIndex, schema: Schema,
                  kind: str, k: int) -> np.ndarray:
-    """(n_items, K) weighted log-likelihood of each element of one kind.
-    Row weights were fixed when the observation index was built."""
+    """(..., n_items, K) weighted log-likelihood of each element of one
+    kind, with the leading (fit) axes of the pack arrays, if any.  Row
+    weights were fixed when the observation index was built."""
     n_items = len(obs.elements[kind])
     tables = [obs.tables[spec.name] for spec in schema.group(kind)]
-    if not any(len(t.elem) for t in tables):
+    if not tables:
         return np.zeros((n_items, k))
     elem = np.concatenate([t.elem for t in tables])
-    ll = np.concatenate([t.weight[:, None] * row_logliks(packs[t.name], t)
-                         for t in tables])
-    return np.stack([np.bincount(elem, weights=ll[:, j], minlength=n_items)
-                     for j in range(k)], axis=1)
+    # each row's log-likelihoods (row first) times the row's weight
+    lls = [(row_logliks(packs[t.name], t).T * t.weight).T for t in tables]
+    shape = lls[0].shape[1:]                        # (..., K)
+    n_cols = int(np.prod(shape))
+    cols = [ll.reshape(len(ll), n_cols) for ll in lls]
+    # column by column: no array holds every row of every fit's columns
+    sums = np.stack([
+        np.bincount(elem, weights=np.concatenate([c[:, j] for c in cols]),
+                    minlength=n_items)
+        for j in range(n_cols)], axis=-1)
+    return np.moveaxis(sums.reshape((n_items,) + shape), 0, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
 """Type-count selection: flat mixture models per classification, dev
-evidence, and nonparametric bootstrap intervals over items."""
+evidence, and nonparametric bootstrap intervals over items.
+
+Every restart of every candidate type count is one fit of a stack that a
+single EM runs at once: the component axis is padded to the largest
+candidate, and padded components carry log pi = -inf, so they take no
+responsibility, no expected counts and no gradient."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import DocumentGraph
-from .learning import FitConfig, optimize_likelihoods
+from .learning import FitConfig, _optimize_fits
 from .likelihoods import logsumexp
 from .params import (
-    ModelParams, ObsIndex, TypeInventory, _packs_from_params, build_obs,
+    ModelParams, ObsIndex, TypeInventory, _Pack, _padded_packs, build_obs,
     init_params, item_logliks,
 )
 from .schema import Schema
@@ -50,7 +54,8 @@ class MixtureFit:
     train_loglik: float
 
     def responsibilities(self, obs: ObsIndex, schema: Schema) -> np.ndarray:
-        logr = _log_joint(self.params, self.log_pi, obs, schema, self.kind)
+        logr = _log_joint([self.params], self.log_pi[None], obs, schema,
+                          self.kind)[0]
         return np.exp(logr - logsumexp(logr, axis=1, keepdims=True))
 
 
@@ -88,19 +93,70 @@ def _sub_schema(schema: Schema, kind: str) -> Schema:
     return Schema(tuple(schema.group(kind)))
 
 
-def _log_joint(params: ModelParams, log_pi: np.ndarray, obs: ObsIndex,
+def _log_joint(fits: list[ModelParams], log_pi: np.ndarray, obs: ObsIndex,
                schema: Schema, kind: str) -> np.ndarray:
-    """(n_items, K) mixture log-joint: log pi plus each item's weighted
-    log-likelihood under every component."""
-    packs = _packs_from_params(params, _sub_schema(schema, kind),
-                               obs.annotators)
-    return log_pi[None, :] + item_logliks(packs, obs, schema, kind,
-                                          len(log_pi))
+    """(F, n_items, K) mixture log-joint of a stack of fits: log pi (F, K)
+    plus each item's weighted log-likelihood under every component, with
+    each fit's components padded to K."""
+    per_fit = _padded_packs(fits, _sub_schema(schema, kind), obs.annotators)
+    packs = {name: _Pack(name, pack.spec,
+                         {a: np.stack([p[name].arrays[a] for p in per_fit])
+                          for a in pack.arrays})
+             for name, pack in per_fit[0].items()}
+    return log_pi[:, None, :] + item_logliks(packs, obs, schema, kind,
+                                             log_pi.shape[-1])
 
 
 def _inventory_for(kind: str, k: int) -> TypeInventory:
     return TypeInventory(*(k if group == kind else 1
                            for group in ("event", "entity", "role", "rel")))
+
+
+def _fit_candidates(obs: ObsIndex, kind: str, candidates: list[int],
+                    schema: Schema, config: SelectionConfig
+                    ) -> list[MixtureFit]:
+    """The best-of-restarts mixture of each candidate K, by train
+    likelihood.  Every restart of every candidate is a fit of one stack,
+    with its own seed, and one EM runs them all."""
+    sub = _sub_schema(schema, kind)
+    if len(obs.elements[kind]) == 0:
+        raise ValueError(f"no annotated {kind} elements")
+    plan = [(k, r) for k in candidates for r in range(config.restarts)]
+    fits = [init_params(sub, _inventory_for(kind, k),
+                        seed=config.seed + 104729 * k + r,
+                        mu_scale=config.fit.init_mu_scale,
+                        annotators=obs.annotators) for k, r in plan]
+    names = [f"candidate K={k}, restart {r}" for k, r in plan]
+    ks = np.array([k for k, _ in plan])
+    real = np.arange(ks.max()) < ks[:, None]              # (F, K)
+    log_pi = np.where(real, -np.log(ks)[:, None], -np.inf)
+    train_ll = np.full(len(plan), -np.inf)
+    for _ in range(config.em_iters):
+        logr = _log_joint(fits, log_pi, obs, schema, kind)
+        logz = logsumexp(logr, axis=-1, keepdims=True)
+        train_ll = logz.sum(axis=(1, 2))
+        resp = np.exp(logr - logz)
+        pi = np.where(real, resp.sum(axis=1) + THETA_FLOOR, 0.0)
+        with np.errstate(divide="ignore"):
+            log_pi = np.log(pi / pi.sum(axis=1, keepdims=True))
+        _optimize_fits(fits, sub, obs, {kind: resp}, config.fit, names)
+    mixes = [MixtureFit(kind, k, log_pi[i, :k], fits[i], float(train_ll[i]))
+             for i, (k, _) in enumerate(plan)]
+    # the first restart with the highest train likelihood
+    return [max(mixes[i:i + config.restarts], key=lambda m: m.train_loglik)
+            for i in range(0, len(mixes), config.restarts)]
+
+
+def _dev_evidence(fits: list[MixtureFit], obs: ObsIndex,
+                  schema: Schema) -> np.ndarray:
+    """(F, n_items) exact log-evidence of each held-out element under each
+    mixture of a stack."""
+    k = max(f.k for f in fits)
+    log_pi = np.array([np.pad(f.log_pi, (0, k - f.k), constant_values=-np.inf)
+                       for f in fits])
+    logr = _log_joint([f.params for f in fits], log_pi, obs, schema,
+                      fits[0].kind)
+    return logsumexp(logr, axis=-1)
 
 
 def fit_mixture(train: list[DocumentGraph], kind: str, k: int, schema: Schema,
@@ -112,38 +168,17 @@ def fit_mixture(train: list[DocumentGraph], kind: str, k: int, schema: Schema,
         raise ValueError(f"component count must be positive, got {k}")
     if obs is None:
         obs = build_obs(train, schema, config.fit.confidence_weighting)
-    sub = _sub_schema(schema, kind)
-    n_items = len(obs.elements[kind])
-    if n_items == 0:
-        raise ValueError(f"no annotated {kind} elements")
-
-    best: MixtureFit | None = None
-    for restart in range(config.restarts):
-        seed = config.seed + 104729 * k + restart
-        params = init_params(sub, _inventory_for(kind, k), seed=seed,
-                             mu_scale=config.fit.init_mu_scale,
-                             annotators=obs.annotators)
-        log_pi = np.full(k, -np.log(k))
-        train_ll = -np.inf
-        for _ in range(config.em_iters):
-            logr = _log_joint(params, log_pi, obs, schema, kind)
-            logz = logsumexp(logr, axis=1, keepdims=True)
-            train_ll = float(logz.sum())
-            resp = np.exp(logr - logz)
-            pi = resp.sum(axis=0) + THETA_FLOOR
-            log_pi = np.log(pi / pi.sum())
-            optimize_likelihoods(params, sub, obs, {kind: resp}, config.fit)
-        if best is None or train_ll > best.train_loglik:
-            best = MixtureFit(kind, k, log_pi, copy.deepcopy(params), train_ll)
-    return best
+    return _fit_candidates(obs, kind, [k], schema, config)[0]
 
 
 def mixture_dev_evidence(fit: MixtureFit, dev: list[DocumentGraph],
-                         schema: Schema, config: SelectionConfig) -> np.ndarray:
-    """Exact per-item log-evidence of held-out elements under the mixture."""
-    obs = build_obs(dev, schema, config.fit.confidence_weighting)
-    return logsumexp(_log_joint(fit.params, fit.log_pi, obs, schema,
-                                fit.kind), axis=1)
+                         schema: Schema, config: SelectionConfig,
+                         obs: ObsIndex | None = None) -> np.ndarray:
+    """Exact per-item log-evidence of held-out elements under the mixture;
+    obs is the dev corpus's observation index, built here if not given."""
+    if obs is None:
+        obs = build_obs(dev, schema, config.fit.confidence_weighting)
+    return _dev_evidence([fit], obs, schema)[0]
 
 
 def bootstrap_diff_ci(per_item_ev_a: np.ndarray, per_item_ev_b: np.ndarray,
@@ -185,11 +220,9 @@ def select_k(train: list[DocumentGraph], dev: list[DocumentGraph], kind: str,
     """
     check_candidates(candidates)
     obs = build_obs(train, schema, config.fit.confidence_weighting)
-
-    per_item: dict[int, np.ndarray] = {}
-    for k in candidates:
-        mix = fit_mixture(train, kind, k, schema, config, obs=obs)
-        per_item[k] = mixture_dev_evidence(mix, dev, schema, config)
+    dev_obs = build_obs(dev, schema, config.fit.confidence_weighting)
+    mixes = _fit_candidates(obs, kind, candidates, schema, config)
+    per_item = dict(zip(candidates, _dev_evidence(mixes, dev_obs, schema)))
 
     incumbent = candidates[0]
     intervals = []

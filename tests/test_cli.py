@@ -440,3 +440,52 @@ def test_checkpoint_outcome_width_is_data_error(tmp_path, capsys, edit, key,
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert f"{key} has shape {have}" in err and f"need {need}" in err
+
+
+def test_compare_fits_indexes_the_corpus_once(tmp_path, monkeypatch):
+    from evstruct import learning
+    data = synth(tmp_path / "data")
+    assert run(["fit", "--corpus", str(data / "corpus.jsonl"),
+                "--schema", "flat", "--out", str(tmp_path / "fit"),
+                "--em-iters", "1", "--m-step-iters", "5",
+                "--k-event", "2", "--k-entity", "2", "--k-role", "2",
+                "--k-rel", "2"]) == 0
+    argv = ["compare-fits", "--corpus", str(data / "corpus.jsonl"),
+            "--schema", "flat", "--kind", "event",
+            "--checkpoint-a", str(data / "true_params.json"),
+            "--checkpoint-b", str(tmp_path / "fit" / "checkpoint.json")]
+    calls = []
+    original = learning.build_obs
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        for module in (cli, learning):
+            patch.setattr(module, "build_obs", counted)
+        assert run(argv + ["--out", str(tmp_path / "once")]) == 0
+    assert calls == [4]
+    # each E-step indexing the corpus itself gives the same table
+    e_step = learning.e_step
+    monkeypatch.setattr(cli, "e_step", lambda docs, params, schema, config,
+                        obs=None: e_step(docs, params, schema, config))
+    assert run(argv + ["--out", str(tmp_path / "twice")]) == 0
+    assert (tmp_path / "once" / "confusion.tsv").read_bytes() \
+        == (tmp_path / "twice" / "confusion.tsv").read_bytes()
+
+
+def test_select_k_manifest_records_settings(tmp_path):
+    data = synth(tmp_path / "data")
+    out = tmp_path / "sel"
+    assert run(["select-k", "--corpus", str(data / "corpus.jsonl"),
+                "--schema", "flat", "--out", str(out), "--kind", "event",
+                "--candidates", "1,2", "--restarts", "1",
+                "--mixture-em-iters", "3", "--m-step-iters", "7",
+                "--no-learn-rho"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {
+        "kind": "event", "candidates": [1, 2], "restarts": 1,
+        "mixture-em-iters": 3, "bootstrap-samples": 1000, "level": 0.95,
+        "dev-fraction": 0.2, "m-step-iters": 7, "adam-lr": 0.05,
+        "confidence-weighting": True, "learn-rho": False}
