@@ -5,6 +5,10 @@ input digests, seed, version, duration) into the output directory.
 Configuration precedence: command-line flags > config file > built-in
 defaults.  The config file path may also come from the EVSTRUCT_CONFIG
 environment variable; everything else is flags-only.
+
+Each option is declared once, in OPTIONS: its type, default and choices
+drive the parser, the reading of config-file values and the manifest.
+COMMANDS lists the options each subcommand accepts.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +29,7 @@ from .agreement import (
     AgreementError, ReliabilityMatrix, bootstrap_alpha_ci, krippendorff_alpha,
     thresholded_alpha,
 )
-from .corpus import CorpusError, DocumentGraph, load_corpus, prepare_corpus, save_corpus
+from .corpus import CorpusError, load_corpus, prepare_corpus, save_corpus
 from .factorgraph import NumericalError
 from .learning import FitConfig, build_obs, e_step, fit
 from .params import (
@@ -47,6 +52,173 @@ class CliError(Exception):
         self.code = code
 
 
+# ---------------------------------------------------------------------------
+# the options
+
+@dataclass(frozen=True)
+class Option:
+    """`--NAME` on the command line and, when read through Options, key
+    NAME in the config file.  A bool option is a switch; a `--no-X` switch
+    is read, and recorded, as X's truth value."""
+    type: type = str
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    items: type | None = None     # a comma-separated list of this type
+    field: str | None = None      # the config dataclass field, if not NAME's
+    required: bool = False
+    path: bool = False            # an input file, digested in the manifest
+
+
+KINDS = ("event", "entity", "role", "rel")
+BUILTIN_SCHEMAS = {"default": default_schema, "flat": flat_schema}
+
+OPTIONS = {
+    "out": Option(required=True, help="output directory"),
+    "config": Option(help="JSON config file"),
+    "seed": Option(int, 0),
+    "threads": Option(int, 1, help="accepted for compatibility; no effect"),
+    "schema": Option(str, "default", help="schema file, 'default', or 'flat'"),
+    # input files
+    "corpus": Option(required=True, path=True, help="corpus JSONL file"),
+    "dev": Option(path=True, help="held-out corpus file"),
+    "checkpoint": Option(required=True, path=True,
+                         help="fitted parameter checkpoint"),
+    "checkpoint-a": Option(required=True, path=True),
+    "checkpoint-b": Option(required=True, path=True),
+    "table": Option(required=True, path=True,
+                    help="long-format reliability TSV"),
+    # model and EM
+    "window": Option(int, 2),
+    "em-iters": Option(int, 20, field="max_em_iters"),
+    "m-step-iters": Option(int, 200),
+    "adam-lr": Option(float, 0.05),
+    "bp-max-iters": Option(int, 200),
+    "bp-damping": Option(float, 0.1),
+    "no-confidence-weighting": Option(bool, False),
+    "no-learn-rho": Option(bool, False),
+    "k-event": Option(int, 4),
+    "k-entity": Option(int, 8),
+    "k-role": Option(int, 2),
+    "k-rel": Option(int, 5),
+    "dev-fraction": Option(float, 0.2),
+    # synth
+    "docs": Option(int, 10, field="n_docs"),
+    "sentences": Option(int, 2, field="sentences_per_doc"),
+    "predicates": Option(int, 1, field="predicates_per_sentence"),
+    "arguments": Option(int, 1, field="arguments_per_predicate"),
+    "eventive-prob": Option(float, 0.0),
+    "annotators": Option(int, 3, field="n_annotators"),
+    "annotators-per-item": Option(int, 1),
+    "separation": Option(float, 4.0),
+    "sigma-ann": Option(float, 0.0),
+    # select-k and analyses
+    "kind": Option(required=True, choices=KINDS),
+    "candidates": Option(required=True, items=int,
+                         help="comma-separated increasing K values"),
+    "restarts": Option(int, 5),
+    "mixture-em-iters": Option(int, 30, field="em_iters"),
+    "bootstrap-samples": Option(int, 1000),
+    "na-threshold": Option(float, analysis.DEFAULT_NA_THRESHOLD),
+    "metric": Option(str, "nominal", choices=("nominal", "ordinal",
+                                              "ordinal-ranks")),
+    "thresholds": Option(items=float, help="comma-separated ridit thresholds"),
+    "bootstrap": Option(bool, False),
+}
+
+COMMON = ("out", "config", "seed", "threads", "schema")
+K_FLAGS = ("k-event", "k-entity", "k-role", "k-rel")
+EM_FLAGS = ("window", "em-iters", "m-step-iters", "adam-lr", "bp-max-iters",
+            "bp-damping", "no-confidence-weighting", "no-learn-rho")
+FIT_FLAGS = EM_FLAGS + K_FLAGS
+# what an E-step reads, and what select_k reads of FitConfig
+E_STEP = ("window", "bp-max-iters", "bp-damping", "no-confidence-weighting",
+          "seed")
+SELECT_K_FIT = ("m-step-iters", "adam-lr", "no-confidence-weighting",
+                "no-learn-rho")
+
+
+def _from_flags(build, *args, **kwargs):
+    """build(...) from flag values; a value it rejects is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from None
+
+
+def _config_value(name, opt, value):
+    """A config-file value read with its flag's type: a switch takes a JSON
+    boolean, a text option a JSON string, a number what its flag's text
+    would give.  Anything else is a usage error."""
+    try:
+        if opt.type in (bool, str):
+            if not isinstance(value, opt.type):
+                raise ValueError
+        else:
+            value = opt.type(str(value))
+        if opt.choices and value not in opt.choices:
+            raise ValueError
+    except ValueError:
+        expected = ("true or false" if opt.type is bool
+                    else "one of " + ", ".join(opt.choices) if opt.choices
+                    else opt.type.__name__)
+        raise CliError(f"config file key {name!r}: expected {expected}, "
+                       f"got {value!r}", EXIT_USAGE) from None
+    return value
+
+
+class Options:
+    """The options one command reads: flag, then config file, then default.
+    Each value read is recorded; the record is the manifest's config."""
+
+    def __init__(self, args, config):
+        self.args, self.config, self.read = args, config, {}
+
+    def __call__(self, name):
+        opt = OPTIONS[name]
+        value = getattr(self.args, name.replace("-", "_"))
+        if value is None:
+            value = (_config_value(name, opt, self.config[name])
+                     if name in self.config else opt.default)
+        if opt.items and value:
+            try:
+                value = [opt.items(v) for v in value.split(",")]
+            except ValueError:
+                raise CliError(f"--{name} {value!r}: expected comma-separated"
+                               f" {opt.items.__name__} values",
+                               EXIT_USAGE) from None
+        if opt.type is bool and name.startswith("no-"):
+            name, value = name[3:], not value
+        self.read[name] = value
+        return value
+
+    def build(self, cls, names, **fields):
+        """cls(...) from the named options plus fields; a value cls rejects
+        is a usage error."""
+        for name in names:
+            field = OPTIONS[name].field or name.removeprefix("no-")
+            fields[field.replace("-", "_")] = self(name)
+        return _from_flags(cls, **fields)
+
+
+def _load_config_file(path):
+    if path is None:
+        path = os.environ.get(CONFIG_ENV_VAR)
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read config file {path}: {exc}", EXIT_USAGE)
+    if not isinstance(obj, dict):
+        raise CliError(f"config file {path} must hold an object", EXIT_USAGE)
+    return obj
+
+
+# ---------------------------------------------------------------------------
+# inputs and outputs
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -61,19 +233,27 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir, subcommand, config, inputs, seed, started,
-                    bp=None) -> None:
+def _write_manifest(args, read, started, bp) -> None:
+    """The options the command read go under config, except the seed (top
+    level) and a schema file (an input)."""
+    config = dict(read)
+    seed = config.pop("seed", 0)
+    schema = config.pop("schema", None)
+    inputs = [getattr(args, name.replace("-", "_"))
+              for name in COMMANDS[args.subcommand][2] if OPTIONS[name].path]
+    if schema is not None and schema not in BUILTIN_SCHEMAS:
+        inputs.append(schema)
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "config": config,
-        "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
+        "inputs": {os.path.basename(p): _sha256(p) for p in inputs if p},
         "seed": seed,
         "version": __version__,
         "duration_seconds": round(time.time() - started, 3),
     }
     if bp is not None:
         manifest["bp"] = bp
-    _dump_json(manifest, os.path.join(out_dir, "manifest.json"))
+    _dump_json(manifest, os.path.join(args.out, "manifest.json"))
 
 
 def _bp_record(docs, *post_lists) -> dict:
@@ -96,66 +276,10 @@ def _on_path(fn, path, *args, verb="read", **kwargs):
                        EXIT_DATA) from None
 
 
-def _from_flags(build, *args, **kwargs):
-    """build(...) from flag values; a value it rejects is a usage error."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from None
-
-
-def _flag_list(flag, text, kind) -> list:
-    """A comma-separated flag value; an unparsable item is a usage error."""
-    try:
-        return [kind(v) for v in text.split(",")]
-    except ValueError:
-        raise CliError(f"{flag} {text!r}: expected comma-separated "
-                       f"{kind.__name__} values", EXIT_USAGE) from None
-
-
-def _load_config_file(path):
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config file {path}: {exc}", EXIT_USAGE)
-    if not isinstance(obj, dict):
-        raise CliError(f"config file {path} must hold an object", EXIT_USAGE)
-    return obj
-
-
-def _resolve(args, config, name, default):
-    """flags > config file > default.  A config-file value is read as its
-    flag's text would be; one the flag's type rejects is a usage error."""
-    dest = name.replace("-", "_")
-    if getattr(args, dest, None) is not None:
-        return getattr(args, dest)
-    if name not in config:
-        return default
-    kind = args.flag_types.get(dest)
-    try:
-        return config[name] if kind is None else kind(str(config[name]))
-    except ValueError:
-        raise CliError(f"config file key {name!r}: expected "
-                       f"{kind.__name__}, got {config[name]!r}",
-                       EXIT_USAGE) from None
-
-
-def _schema_input(value) -> list:
-    """Schema values naming built-ins are not input files to digest."""
-    return [] if value in (None, "default", "flat") else [value]
-
-
-def _schema_from_arg(value) -> Schema:
-    if value in (None, "default"):
-        return default_schema()
-    if value == "flat":
-        return flat_schema()
-    return _on_path(Schema.load, value)
+def _schema(opts) -> Schema:
+    value = opts("schema")
+    builtin = BUILTIN_SCHEMAS.get(value)
+    return builtin() if builtin else _on_path(Schema.load, value)
 
 
 def _load_prepared(path, schema, window=None):
@@ -182,235 +306,115 @@ def _split(docs, dev_fraction):
     return docs[:-n_dev], docs[-n_dev:]
 
 
-def _fit_config(args, config) -> FitConfig:
-    return _from_flags(
-        FitConfig,
-        window=_resolve(args, config, "window", 2),
-        max_em_iters=_resolve(args, config, "em-iters", 20),
-        adam_lr=_resolve(args, config, "adam-lr", 0.05),
-        m_step_iters=_resolve(args, config, "m-step-iters", 200),
-        bp_max_iters=_resolve(args, config, "bp-max-iters", 200),
-        bp_damping=_resolve(args, config, "bp-damping", 0.1),
-        seed=_resolve(args, config, "seed", 0),
-        confidence_weighting=not _resolve(
-            args, config, "no-confidence-weighting", False),
-        learn_rho=not _resolve(args, config, "no-learn-rho", False),
-        threads=_resolve(args, config, "threads", 1),
-    )
+def _e_steps(args, opts, *checkpoints):
+    """The corpus, indexed once, and its posteriors under each checkpoint."""
+    fc = opts.build(FitConfig, E_STEP)
+    schema = _schema(opts)
+    docs = _load_prepared(args.corpus, schema, window=fc.window)
+    params = [_load_checkpoint(path, schema) for path in checkpoints]
+    obs = build_obs(docs, schema, fc.confidence_weighting)
+    return docs, [e_step(docs, p, schema, fc, obs=obs) for p in params]
 
 
-def _inventory(args, config) -> TypeInventory:
-    return _from_flags(
-        TypeInventory,
-        k_event=_resolve(args, config, "k-event", 4),
-        k_entity=_resolve(args, config, "k-entity", 8),
-        k_role=_resolve(args, config, "k-role", 2),
-        k_rel=_resolve(args, config, "k-rel", 5),
-    )
+def _write_stats(docs, schema, out) -> None:
+    with open(os.path.join(out, "stats.txt"), "w") as fh:
+        fh.write(format_stats(corpus_stats(docs, schema)) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the manifest's BP record, or None
 
-def _cmd_synth(args, config):
-    started = time.time()
-    seed = _resolve(args, config, "seed", 0)
-    syn = _from_flags(
+def _cmd_synth(args, opts):
+    syn = opts.build(
         SynthConfig,
-        inventory=_inventory(args, config),
-        n_docs=_resolve(args, config, "docs", 10),
-        sentences_per_doc=_resolve(args, config, "sentences", 2),
-        predicates_per_sentence=_resolve(args, config, "predicates", 1),
-        arguments_per_predicate=_resolve(args, config, "arguments", 1),
-        eventive_prob=_resolve(args, config, "eventive-prob", 0.0),
-        n_annotators=_resolve(args, config, "annotators", 3),
-        annotators_per_item=_resolve(args, config, "annotators-per-item", 1),
-        window=_resolve(args, config, "window", 2),
-        seed=seed,
-        separation=_resolve(args, config, "separation", 4.0),
-        sigma_ann=_resolve(args, config, "sigma-ann", 0.0),
-    )
-    syn.schema = schema = _schema_from_arg(
-        _resolve(args, config, "schema", "default"))
+        ("docs", "sentences", "predicates", "arguments", "eventive-prob",
+         "annotators", "annotators-per-item", "window", "seed", "separation",
+         "sigma-ann"),
+        inventory=opts.build(TypeInventory, K_FLAGS))
+    syn.schema = schema = _schema(opts)
     docs, truth, params = sample_corpus(syn)
     prepare_corpus(docs, schema)
     save_corpus(docs, os.path.join(args.out, "corpus.jsonl"))
     _dump_json(truth, os.path.join(args.out, "truth.json"))
     save_params(params, os.path.join(args.out, "true_params.json"))
     schema.save(os.path.join(args.out, "schema.json"))
-    with open(os.path.join(args.out, "stats.txt"), "w") as fh:
-        fh.write(format_stats(corpus_stats(docs, schema)) + "\n")
-    resolved = {"docs": syn.n_docs, "sentences": syn.sentences_per_doc,
-                "predicates": syn.predicates_per_sentence,
-                "arguments": syn.arguments_per_predicate,
-                "eventive-prob": syn.eventive_prob,
-                "annotators": syn.n_annotators,
-                "annotators-per-item": syn.annotators_per_item,
-                "window": syn.window, "separation": syn.separation,
-                "sigma-ann": syn.sigma_ann,
-                "k-event": syn.inventory.k_event,
-                "k-entity": syn.inventory.k_entity,
-                "k-role": syn.inventory.k_role,
-                "k-rel": syn.inventory.k_rel}
-    _write_manifest(args.out, "synth", resolved, [], seed, started)
-    return 0
+    _write_stats(docs, schema, args.out)
 
 
-def _cmd_ingest(args, config):
-    started = time.time()
-    schema = _schema_from_arg(args.schema)
-    window = _resolve(args, config, "window", 2)
+def _cmd_ingest(args, opts):
+    window = opts("window")
+    schema = _schema(opts)
     docs = _on_path(load_corpus, args.corpus, schema, window=window)
     prepare_corpus(docs, schema)
     save_corpus(docs, os.path.join(args.out, "corpus.jsonl"))
-    with open(os.path.join(args.out, "stats.txt"), "w") as fh:
-        fh.write(format_stats(corpus_stats(docs, schema)) + "\n")
-    _write_manifest(args.out, "ingest", {"window": window},
-                    [args.corpus] + _schema_input(args.schema),
-                    0, started)
-    return 0
+    _write_stats(docs, schema, args.out)
 
 
-def _cmd_fit(args, config):
-    started = time.time()
-    fc = _fit_config(args, config)
-    inv = _inventory(args, config)
-    schema = _schema_from_arg(args.schema)
+def _cmd_fit(args, opts):
+    fc = opts.build(FitConfig, EM_FLAGS + ("seed", "threads"))
+    inv = opts.build(TypeInventory, K_FLAGS)
+    schema = _schema(opts)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
-    if args.dev:
-        train = docs
-        dev = _load_prepared(args.dev, schema, window=fc.window)
-    else:
-        train, dev = _split(docs, _resolve(args, config, "dev-fraction", 0.2))
+    train, dev = ((docs, _load_prepared(args.dev, schema, window=fc.window))
+                  if args.dev else _split(docs, opts("dev-fraction")))
     result = fit(train, dev, inv, schema, fc)
     save_params(result.params, os.path.join(args.out, "checkpoint.json"))
     _dump_json({"train_evidence": result.train_evidence,
                 "dev_evidence": result.dev_evidence,
                 "stopped": result.stopped_reason},
                os.path.join(args.out, "trace.json"))
-    resolved = {"window": fc.window, "em-iters": fc.max_em_iters,
-                "m-step-iters": fc.m_step_iters, "adam-lr": fc.adam_lr,
-                "threads": fc.threads,
-                "confidence-weighting": fc.confidence_weighting,
-                "learn-rho": fc.learn_rho,
-                "k-event": inv.k_event, "k-entity": inv.k_entity,
-                "k-role": inv.k_role, "k-rel": inv.k_rel}
-    inputs = [args.corpus] + ([args.dev] if args.dev else []) \
-        + _schema_input(args.schema)
-    _write_manifest(args.out, "fit", resolved, inputs, fc.seed, started,
-                    bp=_bp_record(train, result.posteriors))
-    return 0
+    return _bp_record(train, result.posteriors)
 
 
-def _posteriors_obj(docs, posteriors):
-    out = {}
-    for doc, post in zip(docs, posteriors):
-        out[doc.doc_id] = {
-            var: [repr(float(v)) for v in post.marginals[var]]
-            for var in sorted(post.marginals)
-        }
-    return out
+def _cmd_posteriors(args, opts):
+    docs, (posts,) = _e_steps(args, opts, args.checkpoint)
+    out = {doc.doc_id: {var: [repr(float(v)) for v in post.marginals[var]]
+                        for var in sorted(post.marginals)}
+           for doc, post in zip(docs, posts)}
+    _dump_json(out, os.path.join(args.out, "posteriors.json"))
+    return _bp_record(docs, posts)
 
 
-def _cmd_posteriors(args, config):
-    started = time.time()
-    fc = _fit_config(args, config)
-    schema = _schema_from_arg(args.schema)
-    docs = _load_prepared(args.corpus, schema, window=fc.window)
-    params = _load_checkpoint(args.checkpoint, schema)
-    posts = e_step(docs, params, schema, fc)
-    _dump_json(_posteriors_obj(docs, posts),
-               os.path.join(args.out, "posteriors.json"))
-    _write_manifest(args.out, "posteriors",
-                    {"window": fc.window, "threads": fc.threads},
-                    [args.corpus, args.checkpoint]
-                    + _schema_input(args.schema),
-                    fc.seed, started, bp=_bp_record(docs, posts))
-    return 0
-
-
-def _cmd_select_k(args, config):
-    started = time.time()
-    seed = _resolve(args, config, "seed", 0)
-    fc = _fit_config(args, config)
-    sc = _from_flags(
-        SelectionConfig,
-        restarts=_resolve(args, config, "restarts", 5),
-        em_iters=_resolve(args, config, "mixture-em-iters", 30),
-        bootstrap_samples=_resolve(args, config, "bootstrap-samples", 1000),
-        seed=seed,
-        fit=fc,
-    )
-    candidates = _flag_list("--candidates", args.candidates, int)
+def _cmd_select_k(args, opts):
+    sc = opts.build(SelectionConfig, ("restarts", "mixture-em-iters",
+                                      "bootstrap-samples", "seed"),
+                    fit=opts.build(FitConfig, SELECT_K_FIT))
+    opts.read["level"] = sc.level
+    candidates = opts("candidates")
     _from_flags(check_candidates, candidates)
-    schema = _schema_from_arg(args.schema)
+    schema = _schema(opts)
     docs = _load_prepared(args.corpus, schema)
-    dev_fraction = _resolve(args, config, "dev-fraction", 0.2)
-    train, dev = _split(docs, dev_fraction)
-    report = select_k(train, dev, args.kind, candidates, schema, sc)
+    train, dev = _split(docs, opts("dev-fraction"))
+    report = select_k(train, dev, opts("kind"), candidates, schema, sc)
     _dump_json(report.to_obj(), os.path.join(args.out, "selection.json"))
     with open(os.path.join(args.out, "selection.txt"), "w") as fh:
         fh.write(report.table() + "\n")
-    _write_manifest(args.out, "select-k",
-                    {"kind": args.kind, "candidates": candidates,
-                     "restarts": sc.restarts,
-                     "mixture-em-iters": sc.em_iters,
-                     "bootstrap-samples": sc.bootstrap_samples,
-                     "level": sc.level, "dev-fraction": dev_fraction,
-                     "m-step-iters": fc.m_step_iters, "adam-lr": fc.adam_lr,
-                     "confidence-weighting": fc.confidence_weighting,
-                     "learn-rho": fc.learn_rho},
-                    [args.corpus] + _schema_input(args.schema),
-                    seed, started)
-    return 0
 
 
-def _cmd_summarize(args, config):
-    started = time.time()
-    schema = _schema_from_arg(args.schema)
+def _cmd_summarize(args, opts):
+    threshold = opts("na-threshold")
+    schema = _schema(opts)
     params = _load_checkpoint(args.checkpoint, schema)
-    threshold = _resolve(args, config, "na-threshold",
-                         analysis.DEFAULT_NA_THRESHOLD)
     summary = analysis.summarize_types(params, schema, na_threshold=threshold)
     _dump_json(summary.tables, os.path.join(args.out, "summary.json"))
     with open(os.path.join(args.out, "summary_long.tsv"), "w") as fh:
         fh.write("group\tproperty\ttype\tvalue\n")
         for group, prop, t, cell in summary.long_rows():
             fh.write(f"{group}\t{prop}\t{t}\t{cell}\n")
-    _write_manifest(args.out, "summarize", {"na-threshold": threshold},
-                    [args.checkpoint] + _schema_input(args.schema),
-                    0, started)
-    return 0
 
 
-def _cmd_compare_fits(args, config):
-    started = time.time()
-    fc = _fit_config(args, config)
-    schema = _schema_from_arg(args.schema)
-    docs = _load_prepared(args.corpus, schema, window=fc.window)
-    obs = build_obs(docs, schema, fc.confidence_weighting)
-    posts_a = e_step(docs, _load_checkpoint(args.checkpoint_a, schema),
-                     schema, fc, obs=obs)
-    posts_b = e_step(docs, _load_checkpoint(args.checkpoint_b, schema),
-                     schema, fc, obs=obs)
-    mat = analysis.confusion(posts_a, posts_b, args.kind)
+def _cmd_compare_fits(args, opts):
+    docs, posts = _e_steps(args, opts, args.checkpoint_a, args.checkpoint_b)
+    mat = analysis.confusion(*posts, opts("kind"))
     with open(os.path.join(args.out, "confusion.tsv"), "w") as fh:
         fh.write("\t".join(f"b{t}" for t in range(mat.shape[1])) + "\n")
         for row in mat:
             fh.write("\t".join(repr(float(v)) for v in row) + "\n")
-    _write_manifest(args.out, "compare-fits", {"kind": args.kind},
-                    [args.corpus, args.checkpoint_a, args.checkpoint_b],
-                    fc.seed, started, bp=_bp_record(docs, posts_a, posts_b))
-    return 0
+    return _bp_record(docs, *posts)
 
 
-def _cmd_entropy(args, config):
-    started = time.time()
-    fc = _fit_config(args, config)
-    schema = _schema_from_arg(args.schema)
-    docs = _load_prepared(args.corpus, schema, window=fc.window)
-    params = _load_checkpoint(args.checkpoint, schema)
-    posts = e_step(docs, params, schema, fc)
+def _cmd_entropy(args, opts):
+    docs, (posts,) = _e_steps(args, opts, args.checkpoint)
     stats = {}
     for kind in analysis.GROUPS:
         try:
@@ -419,9 +423,7 @@ def _cmd_entropy(args, config):
             continue
         stats[kind] = {"mean": mean, "median": median}
     _dump_json(stats, os.path.join(args.out, "entropy.json"))
-    _write_manifest(args.out, "entropy", {}, [args.corpus, args.checkpoint],
-                    fc.seed, started, bp=_bp_record(docs, posts))
-    return 0
+    return _bp_record(docs, posts)
 
 
 def _read_reliability(path) -> ReliabilityMatrix:
@@ -445,24 +447,24 @@ def _read_reliability(path) -> ReliabilityMatrix:
                 value = int(parts[2])
             except ValueError:
                 pass
-            conf = float(parts[3]) if has_conf and len(parts) > 3 else None
+            try:
+                conf = float(parts[3]) if has_conf and len(parts) > 3 else None
+            except ValueError:
+                raise CliError(f"{path}:{lineno}: confidence {parts[3]!r} "
+                               f"is not a number", EXIT_DATA) from None
             table.add(parts[0], parts[1], value, conf)
     return table
 
 
-def _cmd_agreement(args, config):
-    started = time.time()
-    thresholds = _resolve(args, config, "thresholds", None)
-    if thresholds:
-        thresholds = _flag_list("--thresholds", thresholds, float)
+def _cmd_agreement(args, opts):
+    thresholds, metric, bootstrap, seed = map(
+        opts, ("thresholds", "metric", "bootstrap", "seed"))
     table = _on_path(_read_reliability, args.table)
-    metric = _resolve(args, config, "metric", "nominal")
     point = krippendorff_alpha(table, metric)
     result = {"metric": metric,
               "alpha": point if point is not None else "undefined"}
-    if _resolve(args, config, "bootstrap", False):
-        lo, hi, n_def = bootstrap_alpha_ci(
-            table, metric, seed=_resolve(args, config, "seed", 0))
+    if bootstrap:
+        lo, hi, n_def = bootstrap_alpha_ci(table, metric, seed=seed)
         result["interval"] = [lo, hi]
         result["defined_resamples"] = n_def
     if thresholds:
@@ -473,61 +475,50 @@ def _cmd_agreement(args, config):
                 a = "undefined" if pt.alpha is None else repr(pt.alpha)
                 fh.write(f"{pt.threshold}\t{a}\t{pt.coverage}\n")
     _dump_json(result, os.path.join(args.out, "agreement.json"))
-    _write_manifest(args.out, "agreement", {"metric": metric}, [args.table],
-                    _resolve(args, config, "seed", 0), started)
-    return 0
 
 
-def _cmd_export_features(args, config):
-    started = time.time()
-    fc = _fit_config(args, config)
-    schema = _schema_from_arg(args.schema)
-    docs = _load_prepared(args.corpus, schema, window=fc.window)
-    params = _load_checkpoint(args.checkpoint, schema)
-    posts = e_step(docs, params, schema, fc)
+def _cmd_export_features(args, opts):
+    docs, (posts,) = _e_steps(args, opts, args.checkpoint)
     table = analysis.export_features(docs, posts)
     with open(os.path.join(args.out, "features.tsv"), "w") as fh:
         fh.write("element\trow_kind\t" + "\t".join(table.header) + "\n")
         for element, row_kind, vec in table.rows:
             fh.write(f"{element}\t{row_kind}\t"
                      + "\t".join(repr(float(v)) for v in vec) + "\n")
-    _write_manifest(args.out, "export-features", {},
-                    [args.corpus, args.checkpoint], fc.seed, started,
-                    bp=_bp_record(docs, posts))
-    return 0
+    return _bp_record(docs, posts)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p, checkpoint=False, corpus=False):
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--schema", help="schema file, 'default', or 'flat'")
-    if corpus:
-        p.add_argument("--corpus", required=True, help="corpus JSONL file")
-    if checkpoint:
-        p.add_argument("--checkpoint", required=True,
-                       help="fitted parameter checkpoint")
-
-
-def _add_fit_flags(p):
-    p.add_argument("--window", type=int)
-    p.add_argument("--em-iters", type=int, dest="em_iters")
-    p.add_argument("--m-step-iters", type=int, dest="m_step_iters")
-    p.add_argument("--adam-lr", type=float, dest="adam_lr")
-    p.add_argument("--bp-max-iters", type=int, dest="bp_max_iters")
-    p.add_argument("--bp-damping", type=float, dest="bp_damping")
-    p.add_argument("--no-confidence-weighting", action="store_const",
-                   const=True, dest="no_confidence_weighting")
-    p.add_argument("--no-learn-rho", action="store_const", const=True,
-                   dest="no_learn_rho")
-    p.add_argument("--k-event", type=int, dest="k_event")
-    p.add_argument("--k-entity", type=int, dest="k_entity")
-    p.add_argument("--k-role", type=int, dest="k_role")
-    p.add_argument("--k-rel", type=int, dest="k_rel")
+# subcommand: (function, help, the options it accepts besides COMMON)
+COMMANDS = {
+    "synth": (_cmd_synth, "sample a synthetic corpus",
+              ("docs", "sentences", "predicates", "arguments",
+               "eventive-prob", "annotators", "annotators-per-item",
+               "window", "separation", "sigma-ann") + K_FLAGS),
+    "ingest": (_cmd_ingest, "validate and prepare a corpus",
+               ("corpus", "window")),
+    "fit": (_cmd_fit, "fit the full model with EM",
+            ("corpus", "dev", "dev-fraction") + FIT_FLAGS),
+    "posteriors": (_cmd_posteriors, "posterior marginals under a checkpoint",
+                   ("corpus", "checkpoint") + FIT_FLAGS),
+    "select-k": (_cmd_select_k, "choose a type count",
+                 ("corpus", "kind", "candidates", "restarts",
+                  "mixture-em-iters", "bootstrap-samples", "dev-fraction")
+                 + FIT_FLAGS),
+    "summarize": (_cmd_summarize, "per-type property summary",
+                  ("checkpoint", "na-threshold")),
+    "compare-fits": (_cmd_compare_fits, "confusion matrix between fits",
+                     ("corpus", "checkpoint-a", "checkpoint-b", "kind")
+                     + FIT_FLAGS),
+    "entropy": (_cmd_entropy, "posterior entropy statistics",
+                ("corpus", "checkpoint") + FIT_FLAGS),
+    "agreement": (_cmd_agreement, "Krippendorff's alpha analyses",
+                  ("table", "metric", "thresholds", "bootstrap")),
+    "export-features": (_cmd_export_features, "posterior feature table",
+                        ("corpus", "checkpoint") + FIT_FLAGS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,94 +528,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "decompositional annotations on document graphs.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("synth", help="sample a synthetic corpus")
-    _add_common(p)
-    p.add_argument("--docs", type=int)
-    p.add_argument("--sentences", type=int)
-    p.add_argument("--predicates", type=int)
-    p.add_argument("--arguments", type=int)
-    p.add_argument("--eventive-prob", type=float, dest="eventive_prob")
-    p.add_argument("--annotators", type=int)
-    p.add_argument("--annotators-per-item", type=int,
-                   dest="annotators_per_item")
-    p.add_argument("--window", type=int)
-    p.add_argument("--separation", type=float)
-    p.add_argument("--sigma-ann", type=float, dest="sigma_ann")
-    p.add_argument("--k-event", type=int, dest="k_event")
-    p.add_argument("--k-entity", type=int, dest="k_entity")
-    p.add_argument("--k-role", type=int, dest="k_role")
-    p.add_argument("--k-rel", type=int, dest="k_rel")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("ingest", help="validate and prepare a corpus")
-    _add_common(p, corpus=True)
-    p.add_argument("--window", type=int)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("fit", help="fit the full model with EM")
-    _add_common(p, corpus=True)
-    p.add_argument("--dev", help="held-out corpus file")
-    p.add_argument("--dev-fraction", type=float, dest="dev_fraction")
-    _add_fit_flags(p)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("posteriors", help="posterior marginals under a "
-                                          "checkpoint")
-    _add_common(p, corpus=True, checkpoint=True)
-    _add_fit_flags(p)
-    p.set_defaults(func=_cmd_posteriors)
-
-    p = sub.add_parser("select-k", help="choose a type count")
-    _add_common(p, corpus=True)
-    p.add_argument("--kind", required=True,
-                   choices=("event", "entity", "role", "rel"))
-    p.add_argument("--candidates", required=True,
-                   help="comma-separated increasing K values")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--mixture-em-iters", type=int, dest="mixture_em_iters")
-    p.add_argument("--bootstrap-samples", type=int, dest="bootstrap_samples")
-    p.add_argument("--dev-fraction", type=float, dest="dev_fraction")
-    _add_fit_flags(p)
-    p.set_defaults(func=_cmd_select_k)
-
-    p = sub.add_parser("summarize", help="per-type property summary")
-    _add_common(p, checkpoint=True)
-    p.add_argument("--na-threshold", type=float, dest="na_threshold")
-    p.set_defaults(func=_cmd_summarize)
-
-    p = sub.add_parser("compare-fits", help="confusion matrix between fits")
-    _add_common(p, corpus=True)
-    p.add_argument("--checkpoint-a", required=True, dest="checkpoint_a")
-    p.add_argument("--checkpoint-b", required=True, dest="checkpoint_b")
-    p.add_argument("--kind", required=True,
-                   choices=("event", "entity", "role", "rel"))
-    _add_fit_flags(p)
-    p.set_defaults(func=_cmd_compare_fits)
-
-    p = sub.add_parser("entropy", help="posterior entropy statistics")
-    _add_common(p, corpus=True, checkpoint=True)
-    _add_fit_flags(p)
-    p.set_defaults(func=_cmd_entropy)
-
-    p = sub.add_parser("agreement", help="Krippendorff's alpha analyses")
-    _add_common(p)
-    p.add_argument("--table", required=True,
-                   help="long-format reliability TSV")
-    p.add_argument("--metric", choices=("nominal", "ordinal",
-                                        "ordinal-ranks"))
-    p.add_argument("--thresholds", help="comma-separated ridit thresholds")
-    p.add_argument("--bootstrap", action="store_const", const=True)
-    p.set_defaults(func=_cmd_agreement)
-
-    p = sub.add_parser("export-features", help="posterior feature table")
-    _add_common(p, corpus=True, checkpoint=True)
-    _add_fit_flags(p)
-    p.set_defaults(func=_cmd_export_features)
-
-    for p in sub.choices.values():
-        p.set_defaults(flag_types={a.dest: a.type for a in p._actions
-                                   if a.type is not None})
+    for command, (_, summary, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in COMMON + names:
+            opt = OPTIONS[name]
+            if opt.type is bool:
+                p.add_argument(f"--{name}", action="store_const", const=True,
+                               help=opt.help)
+                continue
+            text = opt.help
+            if opt.default is not None:
+                text = f"{text or ''} (default {opt.default!r})".lstrip()
+            p.add_argument(f"--{name}", type=opt.type, choices=opt.choices,
+                           required=opt.required, help=text)
     return parser
 
 
@@ -635,10 +551,13 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        config = _load_config_file(getattr(args, "config", None))
+        started = time.time()
+        opts = Options(args, _load_config_file(args.config))
         _on_path(os.makedirs, args.out, exist_ok=True,
                  verb="create output directory")
-        return args.func(args, config)
+        bp = COMMANDS[args.subcommand][0](args, opts)
+        _write_manifest(args, opts.read, started, bp)
+        return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

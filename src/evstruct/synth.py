@@ -81,8 +81,10 @@ def separated_params(schema: Schema, inventory: TypeInventory,
                      annotators: list[str], separation: float,
                      sigma_ann: float, seed: int) -> ModelParams:
     """True parameters with per-type mean patterns separated by the given
-    logit gap: binary means follow distinct sign patterns across types,
-    ordinal means are spread evenly, and hurdle gates mirror their parent."""
+    logit gap: binary means follow distinct sign patterns across types
+    (repeating only in a group with more types than patterns and a
+    non-binary property), ordinal means are spread evenly, and hurdle
+    gates mirror their parent."""
     rng = np.random.default_rng(seed)
     params = init_params(schema, inventory, seed=seed, annotators=annotators)
     half = separation / 2.0
@@ -93,13 +95,18 @@ def separated_params(schema: Schema, inventory: TypeInventory,
     prop_col: dict[str, tuple[str, int]] = {}
     sign_mats: dict[str, np.ndarray] = {}
     for kind in ("event", "entity", "role", "rel"):
-        names = [p.name for p in schema.group(kind) if p.response == BINARY]
+        group = schema.group(kind)
+        names = [p.name for p in group if p.response == BINARY]
         if not names:
             continue
         k = inventory.k_for(kind)
         for i, name in enumerate(names):
             prop_col[name] = (kind, i)
-        sign_mats[kind] = _sign_patterns(k, len(names), rng)
+        # ordinal spread and categorical or temporal means also separate
+        # the types, so a signature may repeat
+        sign_mats[kind] = _sign_patterns(
+            k, len(names), rng,
+            repeat=any(p.response != BINARY for p in group))
 
     def spread(k):
         return np.linspace(-half, half, k) if k > 1 else np.zeros(1)
@@ -136,9 +143,12 @@ def separated_params(schema: Schema, inventory: TypeInventory,
 
 
 def _sign_patterns(k: int, n_props: int, rng: np.random.Generator,
-                   draws: int = 200) -> np.ndarray:
+                   draws: int = 200, repeat: bool = False) -> np.ndarray:
     """(k, n_props) matrix of +-1 type signatures with distinct rows and a
-    large minimum pairwise Hamming distance."""
+    large minimum pairwise Hamming distance.  Where the random draws find
+    no distinct rows, the first k patterns of a fixed enumeration of all
+    2^n_props, each followed by its complement; past 2^n_props types they
+    cycle if repeat allows it."""
     if k == 1:
         return np.ones((1, n_props))
     best, best_dist = None, -1
@@ -149,11 +159,16 @@ def _sign_patterns(k: int, n_props: int, rng: np.random.Generator,
         d = min(dists)
         if d > best_dist:
             best, best_dist = mat, d
-    if best_dist < 1:
+    if best_dist >= 1:
+        return best
+    if k > 2 ** n_props and not repeat:
         raise ValueError(
             f"cannot give {k} types distinct signatures over {n_props} "
             f"binary properties")
-    return best
+    codes = [c for i in range(2 ** (n_props - 1))
+             for c in (i, i ^ (2 ** n_props - 1))]
+    bits = (np.array(codes)[:, None] >> np.arange(n_props)) & 1
+    return (2.0 * bits - 1.0)[np.arange(k) % len(codes)]
 
 
 def _draw_rhos(pp, annotators, sigma_ann, rng):

@@ -489,3 +489,152 @@ def test_select_k_manifest_records_settings(tmp_path):
         "mixture-em-iters": 3, "bootstrap-samples": 1000, "level": 0.95,
         "dev-fraction": 0.2, "m-step-iters": 7, "adam-lr": 0.05,
         "confidence-weighting": True, "learn-rho": False}
+
+
+def _agreement_table(path, confidence="0.5"):
+    rows = ["item\tannotator\tvalue\tconfidence"]
+    for k in range(6):
+        for ann in ("x", "y"):
+            rows.append(f"i{k}\t{ann}\t{k % 3}\t{confidence}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+E_STEP_FLAGS = (["--bp-damping", "0.3", "--bp-max-iters", "7",
+                 "--no-confidence-weighting", "--window", "3"],
+                {"bp-damping": 0.3, "bp-max-iters": 7,
+                 "confidence-weighting": False, "window": 3})
+
+
+@pytest.mark.parametrize("command", ["fit", "posteriors", "entropy",
+                                     "export-features", "compare-fits",
+                                     "agreement"])
+def test_manifest_records_every_option_read(tmp_path, command):
+    data = synth(tmp_path / "data")
+    corpus = str(data / "corpus.jsonl")
+    ckpt = str(data / "true_params.json")
+    extra, expected = E_STEP_FLAGS
+    if command == "fit":
+        argv = ["--corpus", corpus, "--em-iters", "1", "--m-step-iters", "5",
+                "--dev-fraction", "0.5", "--k-event", "2", "--k-entity", "2",
+                "--k-role", "2", "--k-rel", "2"] + extra
+        expected = dict(expected, **{"dev-fraction": 0.5})
+    elif command == "compare-fits":
+        argv = ["--corpus", corpus, "--checkpoint-a", ckpt,
+                "--checkpoint-b", ckpt, "--kind", "event"] + extra
+        expected = dict(expected, kind="event")
+    elif command == "agreement":
+        table = _agreement_table(tmp_path / "resp.tsv")
+        argv = ["--table", str(table), "--thresholds", "0.1,0.5",
+                "--bootstrap", "--seed", "4"]
+        expected = {"thresholds": [0.1, 0.5], "bootstrap": True,
+                    "metric": "nominal"}
+    else:
+        argv = ["--corpus", corpus, "--checkpoint", ckpt] + extra
+    out = tmp_path / "out"
+    assert run([command, "--schema", "flat", "--out", str(out)] + argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    for key, value in expected.items():
+        assert manifest["config"][key] == value, key
+    if command == "agreement":
+        assert manifest["seed"] == 4
+
+
+def _run_with_config(tmp_path, obj, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    return run(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def test_config_switch_takes_a_json_boolean(tmp_path, capsys):
+    # "false" is a string: read as a switch it would turn rho learning off
+    capsys.readouterr()
+    assert _run_with_config(tmp_path, {"no-learn-rho": "false"},
+                            ["fit", "--corpus", str(tmp_path / "missing")]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'no-learn-rho'" in err
+
+
+def test_config_list_for_text_option_is_usage_error(tmp_path, capsys):
+    table = _agreement_table(tmp_path / "resp.tsv")
+    capsys.readouterr()
+    assert _run_with_config(tmp_path, {"thresholds": [0.1, 0.2]},
+                            ["agreement", "--table", str(table)]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'thresholds'" in err and "Traceback" not in err
+
+
+def test_config_value_outside_choices_is_usage_error(tmp_path, capsys):
+    table = _agreement_table(tmp_path / "resp.tsv")
+    capsys.readouterr()
+    assert _run_with_config(tmp_path, {"metric": "bogus"},
+                            ["agreement", "--table", str(table)]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'metric'" in err and "'bogus'" in err
+
+
+def test_config_schema_applies_to_ingest(tmp_path):
+    data = synth(tmp_path / "data")
+    corpus = str(data / "corpus.jsonl")
+    assert _run_with_config(tmp_path, {"schema": "flat"},
+                            ["ingest", "--corpus", corpus]) == 0
+    flag = tmp_path / "flag"
+    assert run(["ingest", "--corpus", corpus, "--schema", "flat",
+                "--out", str(flag)]) == 0
+    assert (tmp_path / "out" / "corpus.jsonl").read_bytes() \
+        == (flag / "corpus.jsonl").read_bytes()
+
+
+def test_non_numeric_confidence_names_file_and_line(tmp_path, capsys):
+    table = _agreement_table(tmp_path / "resp.tsv", confidence="high")
+    capsys.readouterr()
+    assert run(["agreement", "--table", str(table),
+                "--out", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{table}:2: confidence 'high' is not a number" in err
+
+
+# every flag each subcommand accepts
+COMMON_FLAGS = ["--out", "--config", "--seed", "--threads", "--schema"]
+FIT_FLAGS = ["--window", "--em-iters", "--m-step-iters", "--adam-lr",
+             "--bp-max-iters", "--bp-damping", "--no-confidence-weighting",
+             "--no-learn-rho", "--k-event", "--k-entity", "--k-role",
+             "--k-rel"]
+SUBCOMMAND_FLAGS = {
+    "synth": ["--docs", "--sentences", "--predicates", "--arguments",
+              "--eventive-prob", "--annotators", "--annotators-per-item",
+              "--window", "--separation", "--sigma-ann", "--k-event",
+              "--k-entity", "--k-role", "--k-rel"],
+    "ingest": ["--corpus", "--window"],
+    "fit": ["--corpus", "--dev", "--dev-fraction"] + FIT_FLAGS,
+    "posteriors": ["--corpus", "--checkpoint"] + FIT_FLAGS,
+    "select-k": ["--corpus", "--kind", "--candidates", "--restarts",
+                 "--mixture-em-iters", "--bootstrap-samples",
+                 "--dev-fraction"] + FIT_FLAGS,
+    "summarize": ["--checkpoint", "--na-threshold"],
+    "compare-fits": ["--corpus", "--checkpoint-a", "--checkpoint-b",
+                     "--kind"] + FIT_FLAGS,
+    "entropy": ["--corpus", "--checkpoint"] + FIT_FLAGS,
+    "agreement": ["--table", "--metric", "--thresholds", "--bootstrap"],
+    "export-features": ["--corpus", "--checkpoint"] + FIT_FLAGS,
+}
+
+
+def test_every_subcommand_help(capsys):
+    # argparse formats help only when asked, so a bad option declaration
+    # shows only here
+    import re
+    usage = cli.build_parser().format_usage()
+    commands = re.search(r"\{([^}]*)\}", usage).group(1).split(",")
+    assert set(commands) == set(SUBCOMMAND_FLAGS)
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0, command
+        text = capsys.readouterr().out
+        for flag in COMMON_FLAGS + SUBCOMMAND_FLAGS[command]:
+            assert re.search(rf"(?<![\w-]){flag}(?![\w-])", text), \
+                (command, flag)

@@ -173,3 +173,44 @@ def test_stats_and_formatting():
     assert stats["annotations"] == sum(len(d.annotations) for d in docs)
     text = format_stats(stats)
     assert "documents" in text and "%" in text
+
+
+def _type_rows(params, schema, kind):
+    """(k, D) per-type means of every property of one group."""
+    from evstruct.params import HurdleParams, TemporalParams
+    blocks = []
+    for spec in schema.group(kind):
+        pp = params.props[spec.name]
+        base = pp.base if isinstance(pp, HurdleParams) else pp
+        parts = ((base.start, base.end, base.order)
+                 if isinstance(base, TemporalParams) else (base,))
+        for part in parts:
+            mu = np.asarray(part.mu, dtype=float)
+            blocks.append(mu.reshape(mu.shape[0], -1))
+    return np.hstack(blocks)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_synth_default_type_counts(tmp_path, seed):
+    # default counts: 8 entity types over 3 binary properties (all 2^3
+    # signatures) and 5 relation types over 2 binary properties (a
+    # signature repeats; the temporal means tell those types apart)
+    from evstruct.cli import run
+    from evstruct.params import load_params
+    out = tmp_path / "d"
+    assert run(["synth", "--out", str(out), "--docs", "5",
+                "--seed", str(seed)]) == 0
+    params = load_params(out / "true_params.json")
+    for kind in ("event", "entity", "role", "rel"):
+        rows = _type_rows(params, default_schema(), kind)
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                assert not np.array_equal(rows[i], rows[j]), (kind, i, j)
+
+
+def test_synth_binary_only_group_needs_distinct_signatures(tmp_path, capsys):
+    from evstruct.cli import EXIT_DATA, run
+    assert run(["synth", "--out", str(tmp_path / "d"), "--docs", "2",
+                "--schema", "flat", "--k-entity", "9"]) == EXIT_DATA
+    assert ("cannot give 9 types distinct signatures over 3 binary "
+            "properties") in capsys.readouterr().err
