@@ -235,7 +235,8 @@ def _dump_json(obj, path) -> None:
 
 def _write_manifest(args, read, started, bp) -> None:
     """The options the command read go under config, except the seed (top
-    level) and a schema file (an input)."""
+    level) and a schema file (an input).  Each input's digest is keyed by
+    its file name, or by its path as given where inputs share a name."""
     config = dict(read)
     seed = config.pop("seed", 0)
     schema = config.pop("schema", None)
@@ -243,10 +244,13 @@ def _write_manifest(args, read, started, bp) -> None:
               for name in COMMANDS[args.subcommand][2] if OPTIONS[name].path]
     if schema is not None and schema not in BUILTIN_SCHEMAS:
         inputs.append(schema)
+    inputs = [p for p in inputs if p]
+    names = [os.path.basename(p) for p in inputs]
     manifest = {
         "subcommand": args.subcommand,
         "config": config,
-        "inputs": {os.path.basename(p): _sha256(p) for p in inputs if p},
+        "inputs": {name if names.count(name) == 1 else p: _sha256(p)
+                   for p, name in zip(inputs, names)},
         "seed": seed,
         "version": __version__,
         "duration_seconds": round(time.time() - started, 3),
@@ -342,7 +346,7 @@ def _cmd_synth(args, opts):
 
 
 def _cmd_ingest(args, opts):
-    window = opts("window")
+    window = opts.build(FitConfig, ("window",)).window   # checked as for fit
     schema = _schema(opts)
     docs = _on_path(load_corpus, args.corpus, schema, window=window)
     prepare_corpus(docs, schema)

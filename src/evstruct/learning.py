@@ -7,7 +7,8 @@ one table function per response family, with expected counts per
 (annotator, type, outcome): the responsibility-weighted rows the E-step
 scores, summed once per M-step.  Its machinery (objective, gradients,
 Adam) runs over a stack of fits: a full model fit is a stack of one, and
-type-count selection stacks every restart of every candidate type count.
+type-count selection stacks every restart of every candidate type count,
+whose M-step state is built once and kept for the whole EM.
 """
 
 from __future__ import annotations
@@ -101,11 +102,15 @@ def _counts(term: Term, c: np.ndarray, n_ann: int) -> np.ndarray:
     c (..., N, K) summed per annotator, type and outcome, for each index of
     the leading (fit) axes."""
     lead, k, n_out = c.shape[:-2], c.shape[-1], term.n_out
-    fits = np.arange(int(np.prod(lead)))
-    idx = (((fits[:, None, None] * n_ann + term.ann[:, None]) * k
-            + np.arange(k)) * n_out + term.out[:, None])
-    return np.bincount(idx.ravel(), weights=c[..., term.rows, :].ravel(),
-                       minlength=len(fits) * n_ann * k * n_out
+    n_fits = int(np.prod(lead))
+    # the flat (fit, annotator, type, outcome) index of each coefficient
+    row = term.ann * (k * n_out) + term.out
+    idx = ((np.arange(n_fits) * (n_ann * k * n_out))[:, None, None]
+           + row[:, None]) + np.arange(k) * n_out
+    # a term that covers every row reads c as it is, without a gather
+    c = c if len(term.rows) == c.shape[-2] else c[..., term.rows, :]
+    return np.bincount(idx.ravel(), weights=c.ravel(),
+                       minlength=n_fits * n_ann * k * n_out
                        ).reshape(lead + (n_ann, k, n_out))
 
 
@@ -132,16 +137,23 @@ def _per_fit(a, n_fits: int) -> np.ndarray:
     return np.reshape(a, (n_fits, -1)).sum(axis=1)
 
 
-def _penalty(rho, prec, logdet, n_fits: int = 1):
-    """Summed Gaussian log-density of intercept rows rho (..., A, d) under
-    covariances with inverses prec (..., d, d) and log-determinants logdet
-    (...), per fit of n_fits sharing the leading axis, and its gradient."""
-    grad = -np.einsum("...ad,...de->...ae", rho, prec)
-    n_ann, d = rho.shape[-2:]
-    obj = 0.5 * _per_fit(grad * rho, n_fits) - 0.5 * n_ann * (
+def _precision(sigma: np.ndarray, n_ann: int, n_fits: int = 1):
+    """What _penalty needs of covariances sigma (..., d, d), each over n_ann
+    intercept rows: their negated inverses, and the (n_fits,) normalizer
+    per fit of n_fits sharing the leading axis."""
+    logdet = np.linalg.slogdet(sigma)[1]
+    return -np.linalg.inv(sigma), 0.5 * n_ann * (
         _per_fit(logdet, n_fits)
-        + np.size(logdet) // n_fits * d * np.log(2 * np.pi))
-    return obj, grad
+        + np.size(logdet) // n_fits * sigma.shape[-1] * np.log(2 * np.pi))
+
+
+def _penalty(rho, neg_prec, const, n_fits: int = 1):
+    """Summed Gaussian log-density of intercept rows rho (..., A, d), per
+    fit of n_fits sharing the leading axis, and its gradient, given
+    _precision of the covariances."""
+    grad = (rho * neg_prec if rho.shape[-1] == 1
+            else np.einsum("...ad,...de->...ae", rho, neg_prec))
+    return 0.5 * _per_fit(grad * rho, n_fits) - const, grad
 
 
 def _penalty_terms(pack: _Pack, params: ModelParams):
@@ -153,7 +165,7 @@ def _penalty_terms(pack: _Pack, params: ModelParams):
         mat = pack.arrays[prefix + "rho"]
         sigma = np.atleast_2d(getattr(owner, attr + "sigma"))
         o, g = _penalty(mat.reshape(len(mat), len(sigma)),
-                        np.linalg.inv(sigma), np.linalg.slogdet(sigma)[1])
+                        *_precision(sigma, len(mat)))
         obj += o[0]
         grads[prefix + "rho"] = g.reshape(mat.shape)
     return obj, grads
@@ -162,36 +174,53 @@ def _penalty_terms(pack: _Pack, params: ModelParams):
 class _Group:
     """Parameter blocks of one family and table shape, stacked on a leading
     axis, fit by fit: the (pack, array prefix) of each block, arrays and
-    gradient views by short name, expected counts (P, A, K, O), and the
-    inverse and log-determinant of each block's intercept covariance, which
-    stays fixed during an M-step.  Every fit of the stack owns the same
-    number of consecutive blocks."""
+    gradient views by short name, expected counts (P, A, K, O) and their
+    totals over outcomes, which mu rows are real rather than padding, and
+    the _precision of each block's intercept covariance, which stays fixed
+    during an M-step.  Every fit of the stack owns the same number of
+    consecutive blocks."""
 
-    def __init__(self, family, members, counts, sigmas, n_fits):
+    def __init__(self, family, n_out, members, sigmas, ks, n_fits):
         self.family, self.members, self.n_fits = family, members, n_fits
-        self.counts = np.stack(counts)
-        sigma = np.stack([np.atleast_2d(s) for s in sigmas])
-        self.prec = np.linalg.inv(sigma)
-        self.logdet = np.linalg.slogdet(sigma)[1]
         self.arrays = {name: np.stack([pack.arrays[prefix + name]
                                        for pack, prefix in members])
                        for name in _block(members[0][0].arrays, members[0][1])}
+        mu, rho = self.arrays["mu"], self.arrays["rho"]
+        self.counts = np.zeros(rho.shape[:2] + mu.shape[1:2] + (n_out,))
+        self.total = self.counts.sum(axis=-1)
+        self.real = np.arange(mu.shape[1]) < np.array(ks)[:, None]
         self.grads = {}
+        self.neg_prec, self.const = _precision(
+            np.stack([np.atleast_2d(s) for s in sigmas]), rho.shape[1],
+            n_fits)
 
     def evaluate(self, learn_rho: bool) -> np.ndarray:
         """(n_fits,) objective of each fit's blocks; writes the gradient
         into the views."""
-        terms, grads = self.family(self.arrays, self.counts)
+        terms, grads = self.family(self.arrays, self.counts, self.total)
         obj = _per_fit(terms, self.n_fits)
         if learn_rho:
             rho = self.arrays["rho"]
-            o, g = _penalty(rho.reshape(rho.shape[:2] + self.prec.shape[-1:]),
-                            self.prec, self.logdet, self.n_fits)
+            o, g = _penalty(rho.reshape(rho.shape[:2]
+                                        + self.neg_prec.shape[-1:]),
+                            self.neg_prec, self.const, self.n_fits)
             obj += o
             grads["rho"] += g.reshape(rho.shape)
         for name, view in self.grads.items():
             view[...] = grads[name]
         return obj
+
+    def refit(self) -> None:
+        """Re-estimate each block's intercept covariance from its rho rows
+        and recentre ordinal cutpoints in place, as _params_from_packs
+        does; padding rows of mu stay zero."""
+        rho = self.arrays["rho"]
+        if rho.shape[1]:
+            self.neg_prec, self.const = _precision(
+                lk.update_sigma(rho.reshape(rho.shape[:2] + (-1,))),
+                rho.shape[1], self.n_fits)
+        if "cut_raw" in self.arrays:
+            lk.recenter(self.arrays["cut_raw"], self.arrays["mu"], self.real)
 
 
 def _one_fit(post_mats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -200,40 +229,33 @@ def _one_fit(post_mats: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def _fuse_fits(packs: list[dict[str, _Pack]], fits: list[ModelParams],
-               schema: Schema, obs: ObsIndex,
-               post_mats: dict[str, np.ndarray], learn_rho: bool):
+               schema: Schema, obs: ObsIndex, learn_rho: bool):
     """The M-step's groups over a stack of fits, the parameter vector x and
     gradient g they view, and the fit of each entry of x.
 
     packs and fits hold each fit's packs (every mu padded to the largest
-    type count of the stack) and parameters; post_mats[kind] is (F, n, K),
-    zero in padded columns.  Responsibilities are fixed during an M-step,
-    so each term enters only through its expected counts, built once here.
-    The blocks of every fit and property that share a family and table
-    shape form one group, fit by fit.  Each optimized group array is a view
-    into x, its gradient a view into g, and each pack array a row view of
-    its group's array; without learn_rho the rho arrays stay out of x and
-    keep their values."""
-    n_ann, n_fits = len(obs.annotators), len(fits)
-    counts = {}
-    for spec in schema:
-        table = obs.tables[spec.name]
-        c = post_mats[spec.group][:, table.elem] * table.weight[:, None]
-        for t in table.terms:
-            counts[spec.name, t.prefix] = _counts(t, c, n_ann)
+    type count of the stack) and parameters.  The blocks of every fit and
+    property that share a family and table shape form one group, fit by
+    fit.  Each optimized group array is a view into x, its gradient a view
+    into g, and each pack array a row view of its group's array; without
+    learn_rho the rho arrays stay out of x and keep their values.  The
+    expected counts are filled in by _fill_counts."""
+    n_fits = len(fits)
     blocks: dict[tuple, tuple[list, list, list]] = {}
-    for f, (fit_packs, params) in enumerate(zip(packs, fits)):
+    for fit_packs, params in zip(packs, fits):
         for spec in schema:
             pack = fit_packs[spec.name]
+            k = params.inventory.k_for(spec.group)
             sigma = {prefix: getattr(owner, attr + "sigma") for prefix, owner,
                      attr, _ in _leaves(params.props[spec.name])}
             for t in obs.tables[spec.name].terms:
                 key = (t.family, pack.arrays[t.prefix + "mu"].shape, t.n_out)
-                members, cts, sigmas = blocks.setdefault(key, ([], [], []))
+                members, sigmas, ks = blocks.setdefault(key, ([], [], []))
                 members.append((pack, t.prefix))
-                cts.append(counts[spec.name, t.prefix][f])
                 sigmas.append(sigma[t.prefix])
-    groups = [_Group(key[0], *lists, n_fits) for key, lists in blocks.items()]
+                ks.append(k)
+    groups = [_Group(key[0], key[2], *lists, n_fits)
+              for key, lists in blocks.items()]
     opt = [(grp, name) for grp in groups for name in grp.arrays
            if learn_rho or name != "rho"]
     x = np.zeros(sum(grp.arrays[name].size for grp, name in opt))
@@ -254,11 +276,31 @@ def _fuse_fits(packs: list[dict[str, _Pack]], fits: list[ModelParams],
     return groups, x, g, x_fit
 
 
+def _fill_counts(groups: list[_Group], schema: Schema, obs: ObsIndex,
+                 post_mats: dict[str, np.ndarray]) -> None:
+    """Each group's expected counts under post_mats[kind] (F, n, K), zero in
+    padded columns.  Responsibilities are fixed during an M-step, so each
+    term enters only through these counts, built once per M-step."""
+    n_ann = len(obs.annotators)
+    counts = {}
+    for spec in schema:
+        table = obs.tables[spec.name]
+        c = post_mats[spec.group][:, table.elem] * table.weight[:, None]
+        for t in table.terms:
+            counts[spec.name, t.prefix] = _counts(t, c, n_ann)
+    for grp in groups:
+        per_fit = len(grp.members) // grp.n_fits
+        for j, (pack, prefix) in enumerate(grp.members[:per_fit]):
+            grp.counts[j::per_fit] = counts[pack.name, prefix]
+        grp.counts.sum(axis=-1, out=grp.total)
+
+
 def _fuse(packs: dict[str, _Pack], params: ModelParams, schema: Schema,
           obs: ObsIndex, post_mats: dict[str, np.ndarray], learn_rho: bool):
     """One fit's groups, parameter vector and gradient: a stack of one."""
-    return _fuse_fits([packs], [params], schema, obs, _one_fit(post_mats),
-                      learn_rho)[:3]
+    groups, x, g, _ = _fuse_fits([packs], [params], schema, obs, learn_rho)
+    _fill_counts(groups, schema, obs, _one_fit(post_mats))
+    return groups, x, g
 
 
 class Adam:
@@ -268,55 +310,98 @@ class Adam:
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.x = x
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m, self.v = np.zeros_like(x), np.zeros_like(x)
+        # the first and second moments as two rows, updated together
+        self.moments = np.zeros((2,) + x.shape)
+        self.work = np.empty_like(self.moments)
+        self.decay = np.array([[beta1], [beta2]])
+        self.gain = np.array([[1 - beta1], [1 - beta2]])
+        self.bias = np.ones((2, 1))
         self.t = 0
 
     def step(self, g: np.ndarray) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        self.m = b1 * self.m + (1 - b1) * g
-        self.v = b2 * self.v + (1 - b2) * g * g
-        mh = self.m / (1 - b1 ** self.t)
-        vh = self.v / (1 - b2 ** self.t)
-        self.x += self.lr * mh / (np.sqrt(vh) + self.eps)
+        mv, work = self.moments, self.work
+        mv *= self.decay                            # b1 * m, b2 * v
+        np.multiply(self.gain, g, out=work)         # (1 - b1) * g, ...
+        work[1] *= g
+        mv += work
+        self.bias[0, 0] = 1 - self.beta1 ** self.t
+        self.bias[1, 0] = 1 - self.beta2 ** self.t
+        np.divide(mv, self.bias, out=work)
+        m_hat, v_hat = work                         # bias-corrected
+        m_hat *= self.lr
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        m_hat /= v_hat
+        self.x += m_hat
 
 
-def _optimize_fits(fits: list[ModelParams], schema: Schema, obs: ObsIndex,
-                   post_mats: dict[str, np.ndarray], config: FitConfig,
-                   names: list[str] | None = None) -> np.ndarray:
-    """Maximize each fit's expected weighted complete-data log-likelihood
-    plus intercept penalty by one Adam run over the stack of fits, keeping
-    each fit's best-objective iterate.  post_mats[kind] is (F, n, K), with
-    K the largest type count of the kind among the fits and zeros in the
-    columns of the others.  Writes each fit's result back into its
-    parameters and returns the (F,) best objectives.  A non-finite objective
-    raises ArithmeticError naming the fit by names, if given."""
-    packs = _padded_packs(fits, schema, obs.annotators)
-    groups, x, g, x_fit = _fuse_fits(packs, fits, schema, obs, post_mats,
-                                     config.learn_rho)
-    adam = Adam(x, config.adam_lr, config.adam_beta1, config.adam_beta2,
-                config.adam_eps)
-    best_obj, best = np.full(len(fits), -np.inf), x.copy()
-    for it in range(config.m_step_iters + 1):
-        if it:
-            adam.step(g)
-        obj = sum((grp.evaluate(config.learn_rho) for grp in groups),
-                  np.zeros(len(fits)))
-        bad = ~np.isfinite(obj)
-        if bad.any():
-            where = f" in {names[np.argmax(bad)]}" if names else ""
-            raise ArithmeticError(
-                f"non-finite M-step objective{where} (properties: "
-                f"{[spec.name for spec in schema]})")
-        better = obj > best_obj
-        best_obj[better] = obj[better]
-        np.copyto(best, x, where=better[x_fit])
-    x[...] = best
+class _MStep:
+    """The M-step of a stack of fits, kept across EM iterations.
 
-    for params, fit_packs in zip(fits, packs):
-        _params_from_packs(params, schema, obs.annotators, fit_packs)
-        params.annotators = list(obs.annotators)
-    return best_obj
+    The padded packs, the fused groups, the parameter vector x, its
+    gradient g and the fit of each entry of x are built once from the
+    fits' parameters; write_back writes x back into them once, at the end.
+    Between M-steps, refit re-estimates the intercept covariances and
+    recentres the cutpoints in place, as write_back does in the
+    parameters.  stacked holds each property's arrays of every fit as
+    (F, ...) views of the group arrays, which the E-step scores."""
+
+    def __init__(self, fits: list[ModelParams], schema: Schema,
+                 obs: ObsIndex, config: FitConfig,
+                 names: list[str] | None = None):
+        self.fits, self.schema, self.obs = fits, schema, obs
+        self.config, self.names = config, names
+        self.packs = _padded_packs(fits, schema, obs.annotators)
+        self.groups, self.x, self.g, self.x_fit = _fuse_fits(
+            self.packs, fits, schema, obs, config.learn_rho)
+        self.stacked: dict[str, _Pack] = {}
+        for grp in self.groups:
+            per_fit = len(grp.members) // len(fits)
+            for j, (pack, prefix) in enumerate(grp.members[:per_fit]):
+                arrays = self.stacked.setdefault(
+                    pack.name, _Pack(pack.name, pack.spec, {})).arrays
+                for name, arr in grp.arrays.items():
+                    arrays[prefix + name] = arr[j::per_fit]
+
+    def run(self, post_mats: dict[str, np.ndarray]) -> np.ndarray:
+        """Maximize each fit's expected weighted complete-data
+        log-likelihood plus intercept penalty by one fresh Adam run over
+        the stack, leaving x at each fit's best-objective iterate, and
+        return the (F,) best objectives.  post_mats[kind] is (F, n, K),
+        with K the largest type count of the kind among the fits and zeros
+        in the columns of the others.  A non-finite objective raises
+        ArithmeticError naming the fit by names, if given."""
+        _fill_counts(self.groups, self.schema, self.obs, post_mats)
+        x, n_fits, config = self.x, len(self.fits), self.config
+        adam = Adam(x, config.adam_lr, config.adam_beta1, config.adam_beta2,
+                    config.adam_eps)
+        best_obj, best = np.full(n_fits, -np.inf), x.copy()
+        for it in range(config.m_step_iters + 1):
+            if it:
+                adam.step(self.g)
+            obj = sum(grp.evaluate(config.learn_rho) for grp in self.groups)
+            if not np.isfinite(obj).all():
+                where = (f" in {self.names[np.argmin(np.isfinite(obj))]}"
+                         if self.names else "")
+                raise ArithmeticError(
+                    f"non-finite M-step objective{where} (properties: "
+                    f"{[spec.name for spec in self.schema]})")
+            better = obj > best_obj
+            np.copyto(best_obj, obj, where=better)
+            np.copyto(best, x, where=better[self.x_fit])
+        x[...] = best
+        return best_obj
+
+    def refit(self) -> None:
+        for grp in self.groups:
+            grp.refit()
+
+    def write_back(self) -> None:
+        for params, packs in zip(self.fits, self.packs):
+            _params_from_packs(params, self.schema, self.obs.annotators,
+                               packs)
+            params.annotators = list(self.obs.annotators)
 
 
 def optimize_likelihoods(params: ModelParams, schema: Schema, obs: ObsIndex,
@@ -326,8 +411,10 @@ def optimize_likelihoods(params: ModelParams, schema: Schema, obs: ObsIndex,
     intercept penalty via Adam; keeps the best-objective iterate.  Writes
     the result back into params and returns the best objective: a stack of
     one fit."""
-    return float(_optimize_fits([params], schema, obs, _one_fit(post_mats),
-                                config)[0])
+    mstep = _MStep([params], schema, obs, config)
+    obj = mstep.run(_one_fit(post_mats))
+    mstep.write_back()
+    return float(obj[0])
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,15 @@ def cutpoints_from_raw(raw):
     return out
 
 
+def recenter(cut_raw, mu, where=True):
+    """Shift location into mu, in place, so that the population cutpoints
+    from cut_raw (..., J-1) average to zero; only the entries of mu
+    (..., K) that where marks shift."""
+    shift = cutpoints_from_raw(cut_raw).mean(axis=-1)
+    cut_raw[..., 0] -= shift
+    np.subtract(mu, shift[..., None], out=mu, where=where)
+
+
 def raw_grad_from_cutpoint_grad(raw, dcut):
     """Chain rule from cutpoint-space gradients back to the raw space."""
     raw = np.asarray(raw, dtype=float)
@@ -261,13 +270,14 @@ def gaussian_penalty_grad(rho, sigma):
 
 def update_sigma(rhos):
     """Closed-form covariance update: empirical second moment of the
-    current intercepts with a floored diagonal."""
+    current intercepts rhos (..., A, d) with a floored diagonal, for each
+    index of any leading axes."""
     rhos = np.atleast_2d(np.asarray(rhos, dtype=float))
-    if rhos.shape[0] == 0:
-        d = rhos.shape[1] if rhos.ndim == 2 else 1
-        return np.eye(d)
-    cov = rhos.T @ rhos / rhos.shape[0]
+    d = rhos.shape[-1]
+    if rhos.shape[-2] == 0:
+        return np.tile(np.eye(d), rhos.shape[:-2] + (1, 1))
+    cov = np.swapaxes(rhos, -1, -2) @ rhos / rhos.shape[-2]
     # additive ridge: keeps the matrix invertible when there are fewer
     # annotators than dimensions, and floors every diagonal entry
-    cov[np.diag_indices(cov.shape[0])] += SIGMA_FLOOR
+    cov[..., np.arange(d), np.arange(d)] += SIGMA_FLOOR
     return cov

@@ -114,9 +114,7 @@ class OrdinalParams:
 
     def recenter(self) -> None:
         """Shift location into mu so population cutpoints average to zero."""
-        shift = float(np.mean(lk.cutpoints_from_raw(self.cut_raw)))
-        self.cut_raw[0] -= shift
-        self.mu -= shift
+        lk.recenter(self.cut_raw, self.mu)
 
 
 @dataclass
@@ -420,33 +418,47 @@ def _block(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
 # of each outcome O for each annotator A under each type K, with any leading
 # axes stacking blocks of one shape; given expected counts n of that shape,
 # also the products n * table, which the caller sums, and the gradient of
-# their sum by short array name.
+# their sum by short array name.  total is n summed over outcomes, which a
+# caller that holds n fixed passes in.
 
-def _binary_table(b, n=None):
+def _binary_table(b, n=None, total=None):
     z = b["mu"][..., None, :] + b["rho"][..., :, None]         # (..., A, K)
-    logp = lk.log_sigmoid(np.stack([-z, z], axis=-1))
+    np.minimum(np.maximum(z, -lk.LOGIT_CLAMP, out=z), lk.LOGIT_CLAMP, out=z)
+    # e = (exp(z), exp(-z)): log p(0) = -log1p(exp(z)), log p(1) =
+    # -log1p(exp(-z)) and sigmoid(z) = 1 / (1 + exp(-z))
+    e = np.empty(z.shape + (2,))
+    e[..., 0] = z
+    np.negative(z, out=e[..., 1])
+    np.exp(e, out=e)
     if n is None:
-        return logp
-    dz = n[..., 1] - n.sum(axis=-1) * lk.sigmoid(z)
-    return n * logp, {"mu": dz.sum(axis=-2), "rho": dz.sum(axis=-1)}
+        return -np.log1p(e)
+    if total is None:
+        total = n.sum(axis=-1)
+    dz = n[..., 1] - total * (1.0 / (1.0 + e[..., 1]))
+    return n * -np.log1p(e), {"mu": dz.sum(axis=-2), "rho": dz.sum(axis=-1)}
 
 
-def _categorical_table(b, n=None):
+def _categorical_table(b, n=None, total=None):
     logp = lk.log_softmax(b["mu"][..., None, :, :] + b["rho"][..., :, None, :])
     if n is None:
         return logp
-    dz = n - n.sum(axis=-1, keepdims=True) * np.exp(logp)
+    if total is None:
+        total = n.sum(axis=-1)
+    dz = n - total[..., None] * np.exp(logp)
     return n * logp, {"mu": dz.sum(axis=-3), "rho": dz.sum(axis=-2)}
 
 
-def _ordinal_table(b, n=None):
+def _ordinal_table(b, n=None, total=None):
     """Cumulative linked logit; gradients wrt mu, population raw cutpoints,
     and per-annotator raw offsets."""
     raw = b["cut_raw"][..., None, :] + b["rho"]           # (..., A, J-1)
-    cdf = lk.sigmoid(lk.cutpoints_from_raw(raw)[..., :, None, :]
-                     - b["mu"][..., None, :, None])       # (..., A, K, J-1)
-    edge = np.zeros(cdf.shape[:-1] + (1,))
-    cum = np.concatenate([edge, cdf, edge + 1.0], axis=-1)
+    cuts = lk.cutpoints_from_raw(raw)[..., :, None, :]
+    # cum: P(x <= j) for j = 0..J, each cdf entry a view into it
+    cum = np.empty(cuts.shape[:-2] + b["mu"].shape[-1:]
+                   + (cuts.shape[-1] + 2,))
+    cum[..., 0], cum[..., -1] = 0.0, 1.0
+    cdf = cum[..., 1:-1]                                  # (..., A, K, J-1)
+    cdf[...] = lk.sigmoid(cuts - b["mu"][..., None, :, None])
     p = np.maximum(cum[..., 1:] - cum[..., :-1], 1e-300)  # (..., A, K, J)
     logp = np.log(p)
     if n is None:
@@ -463,15 +475,18 @@ def row_logliks(pack: _Pack, table: PropTable) -> np.ndarray:
     including hurdle gate terms on present and absent rows: each term's
     table gathered at the row's annotator and outcome.  The middle axes are
     the leading (fit) axes of the pack's arrays, if any."""
-    logps = [term.family(_block(pack.arrays, term.prefix))
-             for term in table.terms]
-    shape = logps[0].shape                          # (..., A, K, O)
-    ll = np.zeros((len(table.elem),) + shape[:-3] + shape[-2:-1])
-    for term, logp in zip(table.terms, logps):
-        if len(term.rows):
+    ll = None
+    for term in table.terms:
+        logp = term.family(_block(pack.arrays, term.prefix))  # (..., A, K, O)
+        part = logp[..., term.ann, :, term.out]               # (rows, ..., K)
+        full = len(term.rows) == len(table.elem)
+        if ll is None and full:
+            ll = part
+        else:
+            if ll is None:
+                ll = np.zeros((len(table.elem),) + part.shape[1:])
             # a slice where the term covers every row: a view, not a scatter
-            rows = slice(None) if len(term.rows) == len(ll) else term.rows
-            ll[rows] += logp[..., term.ann, :, term.out]
+            ll[slice(None) if full else term.rows] += part
     return ll
 
 

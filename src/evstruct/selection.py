@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import DocumentGraph
-from .learning import FitConfig, _optimize_fits
+from .learning import FitConfig, _MStep
 from .likelihoods import logsumexp
 from .params import (
     ModelParams, ObsIndex, TypeInventory, _Pack, _padded_packs, build_obs,
@@ -54,8 +54,9 @@ class MixtureFit:
     train_loglik: float
 
     def responsibilities(self, obs: ObsIndex, schema: Schema) -> np.ndarray:
-        logr = _log_joint([self.params], self.log_pi[None], obs, schema,
-                          self.kind)[0]
+        logr = _log_joint(_stacked_packs([self.params], schema, self.kind,
+                                         obs.annotators),
+                          self.log_pi[None], obs, schema, self.kind)[0]
         return np.exp(logr - logsumexp(logr, axis=1, keepdims=True))
 
 
@@ -93,16 +94,22 @@ def _sub_schema(schema: Schema, kind: str) -> Schema:
     return Schema(tuple(schema.group(kind)))
 
 
-def _log_joint(fits: list[ModelParams], log_pi: np.ndarray, obs: ObsIndex,
+def _stacked_packs(fits: list[ModelParams], schema: Schema, kind: str,
+                   annotators: list[str]) -> dict[str, _Pack]:
+    """Each property's arrays of a stack of fits on a leading axis, every
+    mu padded to the largest type count among them."""
+    per_fit = _padded_packs(fits, _sub_schema(schema, kind), annotators)
+    return {name: _Pack(name, pack.spec,
+                        {a: np.stack([p[name].arrays[a] for p in per_fit])
+                         for a in pack.arrays})
+            for name, pack in per_fit[0].items()}
+
+
+def _log_joint(packs: dict[str, _Pack], log_pi: np.ndarray, obs: ObsIndex,
                schema: Schema, kind: str) -> np.ndarray:
     """(F, n_items, K) mixture log-joint of a stack of fits: log pi (F, K)
-    plus each item's weighted log-likelihood under every component, with
-    each fit's components padded to K."""
-    per_fit = _padded_packs(fits, _sub_schema(schema, kind), obs.annotators)
-    packs = {name: _Pack(name, pack.spec,
-                         {a: np.stack([p[name].arrays[a] for p in per_fit])
-                          for a in pack.arrays})
-             for name, pack in per_fit[0].items()}
+    plus each item's weighted log-likelihood under every component, from
+    each property's arrays of every fit, padded to K, in packs."""
     return log_pi[:, None, :] + item_logliks(packs, obs, schema, kind,
                                              log_pi.shape[-1])
 
@@ -131,15 +138,19 @@ def _fit_candidates(obs: ObsIndex, kind: str, candidates: list[int],
     real = np.arange(ks.max()) < ks[:, None]              # (F, K)
     log_pi = np.where(real, -np.log(ks)[:, None], -np.inf)
     train_ll = np.full(len(plan), -np.inf)
-    for _ in range(config.em_iters):
-        logr = _log_joint(fits, log_pi, obs, schema, kind)
+    mstep = _MStep(fits, sub, obs, config.fit, names)
+    for it in range(config.em_iters):
+        if it:
+            mstep.refit()
+        logr = _log_joint(mstep.stacked, log_pi, obs, schema, kind)
         logz = logsumexp(logr, axis=-1, keepdims=True)
         train_ll = logz.sum(axis=(1, 2))
         resp = np.exp(logr - logz)
         pi = np.where(real, resp.sum(axis=1) + THETA_FLOOR, 0.0)
         with np.errstate(divide="ignore"):
             log_pi = np.log(pi / pi.sum(axis=1, keepdims=True))
-        _optimize_fits(fits, sub, obs, {kind: resp}, config.fit, names)
+        mstep.run({kind: resp})
+    mstep.write_back()
     mixes = [MixtureFit(kind, k, log_pi[i, :k], fits[i], float(train_ll[i]))
              for i, (k, _) in enumerate(plan)]
     # the first restart with the highest train likelihood
@@ -154,8 +165,10 @@ def _dev_evidence(fits: list[MixtureFit], obs: ObsIndex,
     k = max(f.k for f in fits)
     log_pi = np.array([np.pad(f.log_pi, (0, k - f.k), constant_values=-np.inf)
                        for f in fits])
-    logr = _log_joint([f.params for f in fits], log_pi, obs, schema,
-                      fits[0].kind)
+    kind = fits[0].kind
+    logr = _log_joint(_stacked_packs([f.params for f in fits], schema, kind,
+                                     obs.annotators),
+                      log_pi, obs, schema, kind)
     return logsumexp(logr, axis=-1)
 
 

@@ -71,6 +71,32 @@ def test_manifest_records_inputs(tmp_path):
     assert "version" in manifest and "duration_seconds" in manifest
 
 
+def test_manifest_keys_inputs_sharing_a_name_by_path(tmp_path):
+    a = synth(tmp_path / "a")
+    b = synth(tmp_path / "b", "--seed", "8")
+    ckpt_a, ckpt_b = a / "true_params.json", b / "true_params.json"
+    assert sha256(ckpt_a) != sha256(ckpt_b)
+    out = tmp_path / "cmp"
+    assert run(["compare-fits", "--corpus", str(a / "corpus.jsonl"),
+                "--schema", "flat", "--kind", "event", "--out", str(out),
+                "--checkpoint-a", str(ckpt_a),
+                "--checkpoint-b", str(ckpt_b)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {"corpus.jsonl": sha256(a / "corpus.jsonl"),
+                                  str(ckpt_a): sha256(ckpt_a),
+                                  str(ckpt_b): sha256(ckpt_b)}
+
+
+def test_ingest_window_below_one_is_usage_error(tmp_path, capsys):
+    # the corpus does not exist: the window is checked before it is read
+    capsys.readouterr()
+    assert run(["ingest", "--corpus", str(tmp_path / "missing.jsonl"),
+                "--window", "0", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid option value: window must be >= 1")
+    assert "got 0" in err and "Traceback" not in err
+
+
 def test_bad_corpus_is_data_error(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"doc_id": "d0"}\n')

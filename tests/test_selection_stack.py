@@ -5,11 +5,14 @@ same mixtures fitted one candidate at a time."""
 import numpy as np
 import pytest
 
-from evstruct import learning, selection
+from evstruct import learning, likelihoods as lk, selection
 from evstruct.cli import EXIT_COMPUTE, run
 from evstruct.corpus import prepare_corpus
 from evstruct.learning import FitConfig, build_obs
-from evstruct.params import TypeInventory, _leaves
+from evstruct.learning import (
+    Adam, _fill_counts, _fuse_fits, _padded_packs, _params_from_packs,
+)
+from evstruct.params import TypeInventory, _leaves, _Pack, init_params
 from evstruct.schema import (
     CATEGORICAL, PREDICATE_NODE, PropertySpec, Schema, default_schema,
 )
@@ -118,6 +121,129 @@ def test_padded_fit_equals_unpadded(learn_rho):
         assert np.shape(got[key]) == np.shape(want[key]), key
         np.testing.assert_allclose(got[key], want[key], rtol=1e-12,
                                    atol=1e-12, err_msg=key)
+
+
+class RebuiltEachIteration:
+    """Reference M-step of a stack: every EM iteration converts each fit's
+    parameters to padded packs, fuses them afresh, runs Adam and writes the
+    result back into the parameters, which the E-step then reads."""
+
+    def __init__(self, fits, schema, obs, config, names=None):
+        self.fits, self.schema, self.obs = fits, schema, obs
+        self.config = config
+
+    @property
+    def stacked(self):
+        per_fit = _padded_packs(self.fits, self.schema, self.obs.annotators)
+        return {name: _Pack(name, pack.spec,
+                            {a: np.stack([p[name].arrays[a] for p in per_fit])
+                             for a in pack.arrays})
+                for name, pack in per_fit[0].items()}
+
+    def run(self, post_mats):
+        fits, schema, obs, config = (self.fits, self.schema, self.obs,
+                                     self.config)
+        packs = _padded_packs(fits, schema, obs.annotators)
+        groups, x, g, x_fit = _fuse_fits(packs, fits, schema, obs,
+                                         config.learn_rho)
+        _fill_counts(groups, schema, obs, post_mats)
+        adam = Adam(x, config.adam_lr, config.adam_beta1, config.adam_beta2,
+                    config.adam_eps)
+        best_obj, best = np.full(len(fits), -np.inf), x.copy()
+        for it in range(config.m_step_iters + 1):
+            if it:
+                adam.step(g)
+            obj = sum((grp.evaluate(config.learn_rho) for grp in groups),
+                      np.zeros(len(fits)))
+            better = obj > best_obj
+            best_obj[better] = obj[better]
+            np.copyto(best, x, where=better[x_fit])
+        x[...] = best
+        for params, fit_packs in zip(fits, packs):
+            _params_from_packs(params, schema, obs.annotators, fit_packs)
+            params.annotators = list(obs.annotators)
+        return best_obj
+
+    def refit(self):
+        pass
+
+    def write_back(self):
+        pass
+
+
+@pytest.mark.parametrize("learn_rho", [True, False],
+                         ids=["learn_rho", "fixed_rho"])
+@pytest.mark.parametrize("case", ["flat", "default-event"])
+def test_kept_state_matches_rebuilding_each_iteration(case, learn_rho,
+                                                      monkeypatch):
+    # candidates 1 and 5: the K=1 fits carry padding rows in every mu
+    schema, kind, confidence, weighting, _ = CASES[case]
+    train, _ = split_corpus(schema, seed=9, confidence=confidence)
+    sc = config(weighting, learn_rho)
+    obs = build_obs(train, schema, weighting)
+    kept = _fit_candidates(obs, kind, [1, 5], schema, sc)
+    monkeypatch.setattr(selection, "_MStep", RebuiltEachIteration)
+    rebuilt = _fit_candidates(obs, kind, [1, 5], schema, sc)
+    # both do the same arithmetic in the same order, so they agree bit for
+    # bit; a tolerance would hide a skipped recentring, which moves the
+    # results only by rounding
+    for got, want in zip(kept, rebuilt):
+        assert got.k == want.k
+        assert got.train_loglik == want.train_loglik
+        np.testing.assert_array_equal(got.log_pi, want.log_pi)
+        values, reference = dict(leaf_values(got.params)), dict(leaf_values(
+            want.params))
+        assert values.keys() == reference.keys()
+        assert (case == "flat") != any(key.endswith("cut_raw")
+                                       for key in reference)
+        for key in reference:
+            assert np.shape(values[key]) == np.shape(reference[key]), key
+            np.testing.assert_array_equal(values[key], reference[key],
+                                          err_msg=f"K={want.k} {key}")
+
+
+def test_refit_between_m_steps():
+    # what the E-step of the next EM iteration reads from the kept state
+    schema, kind, confidence, weighting, _ = CASES["default-event"]
+    train, _ = split_corpus(schema, seed=9, confidence=confidence)
+    obs = build_obs(train, schema, weighting)
+    sub = selection._sub_schema(schema, kind)
+    fits = [init_params(sub, selection._inventory_for(kind, k), seed=k,
+                        annotators=obs.annotators) for k in (1, 5)]
+    mstep = learning._MStep(fits, sub, obs, FitConfig(m_step_iters=20))
+    resp = np.random.default_rng(0).dirichlet(np.ones(5), size=(2, len(
+        obs.elements[kind])))
+    resp[0] = np.eye(5)[0]
+    mstep.run({kind: resp})
+    mstep.refit()
+    ordinal = [grp for grp in mstep.groups if "cut_raw" in grp.arrays]
+    assert ordinal
+    for grp in mstep.groups:
+        mu, rho = grp.arrays["mu"], grp.arrays["rho"]
+        np.testing.assert_array_equal(mu[~grp.real], 0.0)
+        want = lk.update_sigma(rho.reshape(rho.shape[:2] + (-1,)))
+        np.testing.assert_array_equal(-grp.neg_prec, np.linalg.inv(want))
+    for grp in ordinal:
+        means = lk.cutpoints_from_raw(grp.arrays["cut_raw"]).mean(axis=-1)
+        assert np.max(np.abs(means)) <= 1e-12
+
+
+def test_select_k_fuses_the_stack_once(monkeypatch):
+    schema = flat_schema(n_event=5)
+    train, dev = split_corpus(schema, seed=6)
+    sc = config(False)
+    calls = {"_padded_packs": 0, "_fuse_fits": 0, "_params_from_packs": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(learning, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(learning, name, counted)
+    select_k(train, dev, "event", CANDIDATES, schema, sc)
+    assert sc.em_iters > 1
+    assert calls == {"_padded_packs": 1, "_fuse_fits": 1,
+                     "_params_from_packs": len(CANDIDATES) * sc.restarts}
 
 
 def test_restarts_match_single_restart_fits():
