@@ -10,9 +10,9 @@ stored blockwise by the endpoint kinds (event/entity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import json
-from typing import Union
+from typing import Union, get_origin, get_type_hints
 
 import numpy as np
 
@@ -137,6 +137,26 @@ class TemporalParams:
 
 PropParams = Union[BinaryParams, CategoricalParams, OrdinalParams,
                    HurdleParams, TemporalParams]
+
+# checkpoint family name -> parameter class
+FAMILIES = {"binary": BinaryParams, "categorical": CategoricalParams,
+            "ordinal": OrdinalParams, "hurdle": HurdleParams,
+            "temporal": TemporalParams}
+_NAMES = {cls: name for name, cls in FAMILIES.items()}
+
+
+def _field_kinds(cls) -> list[tuple[str, str]]:
+    """(name, kind) of each field of a family class, in declaration order:
+    "block" for a nested family, "rho" for annotator intercepts keyed by
+    annotator, "value" for a number or array."""
+    hints = get_type_hints(cls)
+    return [(f.name, "rho" if get_origin(hints[f.name]) is dict
+             else "value" if hints[f.name] in (float, np.ndarray)
+             else "block") for f in fields(cls)]
+
+
+# the checkpoint layout of every family: the fields of its dataclass
+_LAYOUT = {cls: _field_kinds(cls) for cls in FAMILIES.values()}
 
 
 @dataclass
@@ -561,29 +581,18 @@ def _arr(a):
 
 
 def _prop_obj(pp: PropParams) -> dict:
-    if isinstance(pp, BinaryParams):
-        return {"family": "binary", "mu": _arr(pp.mu),
-                "rho": {a: float(v) for a, v in sorted(pp.rho.items())},
-                "sigma": float(pp.sigma)}
-    if isinstance(pp, CategoricalParams):
-        return {"family": "categorical", "mu": _arr(pp.mu),
-                "rho": {a: _arr(v) for a, v in sorted(pp.rho.items())},
-                "sigma": _arr(pp.sigma)}
-    if isinstance(pp, OrdinalParams):
-        return {"family": "ordinal", "mu": _arr(pp.mu),
-                "cut_raw": _arr(pp.cut_raw),
-                "rho": {a: _arr(v) for a, v in sorted(pp.rho.items())},
-                "sigma": _arr(pp.sigma)}
-    if isinstance(pp, HurdleParams):
-        return {"family": "hurdle", "gate_mu": _arr(pp.gate_mu),
-                "gate_rho": {a: float(v)
-                             for a, v in sorted(pp.gate_rho.items())},
-                "gate_sigma": float(pp.gate_sigma),
-                "base": _prop_obj(pp.base)}
-    if isinstance(pp, TemporalParams):
-        return {"family": "temporal", "start": _prop_obj(pp.start),
-                "end": _prop_obj(pp.end), "order": _prop_obj(pp.order)}
-    raise TypeError(type(pp))  # pragma: no cover
+    """A property's checkpoint object: its family name and each field of
+    its dataclass, a nested family as an object of its own."""
+    obj = {"family": _NAMES[type(pp)]}
+    for name, kind in _LAYOUT[type(pp)]:
+        value = getattr(pp, name)
+        if kind == "block":
+            obj[name] = _prop_obj(value)
+        elif kind == "rho":
+            obj[name] = {a: _arr(v) for a, v in value.items()}
+        else:
+            obj[name] = _arr(value)
+    return obj
 
 
 def _get(obj, path: str, key: str):
@@ -593,35 +602,28 @@ def _get(obj, path: str, key: str):
     return obj[key]
 
 
-def _prop_from_obj(obj: dict, path: str) -> PropParams:
-    def get(key):
-        return _get(obj, path, key)
+def _leaf(value):
+    """A checkpoint number as a float, or a list of numbers as an array."""
+    return float(value) if np.ndim(value) == 0 else np.asarray(value)
 
-    fam = get("family")
-    if fam == "binary":
-        return BinaryParams(mu=np.asarray(get("mu")),
-                            rho={a: float(v) for a, v in get("rho").items()},
-                            sigma=float(get("sigma")))
-    if fam == "categorical":
-        return CategoricalParams(
-            mu=np.asarray(get("mu")),
-            rho={a: np.asarray(v) for a, v in get("rho").items()},
-            sigma=np.asarray(get("sigma")))
-    if fam == "ordinal":
-        return OrdinalParams(
-            mu=np.asarray(get("mu")), cut_raw=np.asarray(get("cut_raw")),
-            rho={a: np.asarray(v) for a, v in get("rho").items()},
-            sigma=np.asarray(get("sigma")))
-    if fam == "hurdle":
-        return HurdleParams(
-            gate_mu=np.asarray(get("gate_mu")),
-            gate_rho={a: float(v) for a, v in get("gate_rho").items()},
-            gate_sigma=float(get("gate_sigma")),
-            base=_prop_from_obj(get("base"), path + ".base"))
-    if fam == "temporal":
-        return TemporalParams(*(_prop_from_obj(get(b), f"{path}.{b}")
-                                for b in ("start", "end", "order")))
-    raise CheckpointError(f"{path}.family: unknown family {fam!r}")
+
+def _prop_from_obj(obj: dict, path: str) -> PropParams:
+    """A property's parameters from its checkpoint object, its fields read
+    in declaration order."""
+    fam = _get(obj, path, "family")
+    cls = FAMILIES.get(fam) if isinstance(fam, str) else None
+    if cls is None:
+        raise CheckpointError(f"{path}.family: unknown family {fam!r}")
+    values = {}
+    for name, kind in _LAYOUT[cls]:
+        key, value = f"{path}.{name}", _get(obj, path, name)
+        if kind == "block":
+            values[name] = _prop_from_obj(value, key)
+        elif kind == "rho":
+            values[name] = {a: _leaf(v) for a, v in value.items()}
+        else:
+            values[name] = _leaf(value)
+    return cls(**values)
 
 
 def params_to_obj(params: ModelParams) -> dict:
@@ -665,8 +667,21 @@ def params_from_obj(obj: dict) -> ModelParams:
                        annotators=list(obj.get("annotators", [])))
 
 
-_FAMILY = {BinaryParams: BINARY, CategoricalParams: CATEGORICAL,
-           OrdinalParams: ORDINAL, TemporalParams: TEMPORAL}
+def _pairs(have, want, path: str):
+    """(key path, value, template value) of each number or array in a
+    property's parameters, walking the fields of a template laid out by the
+    schema; a rho entry's template is the zero row that the family gives an
+    annotator without one."""
+    for name, kind in _LAYOUT[type(want)]:
+        key, value = f"{path}.{name}", getattr(have, name)
+        if kind == "block":
+            yield from _pairs(value, getattr(want, name), key)
+        elif kind == "rho":
+            zero = getattr(want, f"{name}_of")
+            yield from ((f"{key}.{a}", v, zero(a))
+                        for a, v in sorted(value.items()))
+        else:
+            yield key, value, getattr(want, name)
 
 
 def check_params(params: ModelParams, schema: Schema) -> None:
@@ -676,18 +691,20 @@ def check_params(params: ModelParams, schema: Schema) -> None:
     whose shape differs from freshly initialized parameters for the
     inventory's type counts and the schema's outcomes."""
     fresh = PriorParams.uniform(params.inventory)
-    fields = [(f"priors.theta_{n}", getattr(params.priors, f"theta_{n}"),
-               getattr(fresh, f"theta_{n}"))
-              for n in ("event", "entity", "role")]
-    fields += [(f"priors.theta_rel.{b}", params.priors.theta_rel.get(b), w)
-               for b, w in fresh.theta_rel.items()]
+    pairs = [(f"priors.theta_{n}", getattr(params.priors, f"theta_{n}"),
+              getattr(fresh, f"theta_{n}"))
+             for n in ("event", "entity", "role")]
+    pairs += [(f"priors.theta_rel.{b}", params.priors.theta_rel.get(b), w)
+              for b, w in fresh.theta_rel.items()]
     for spec in schema:
         pp = params.props.get(spec.name)
         if pp is None:
             raise CheckpointError(
                 f"checkpoint has no parameters for property {spec.name}")
         gated = isinstance(pp, HurdleParams)
-        family = _FAMILY.get(type(pp.base if gated else pp))
+        family = _NAMES.get(type(pp.base if gated else pp))
+        # the one family whose checkpoint and schema names differ
+        family = TEMPORAL if family == "temporal" else family
         if (gated, family) != (spec.gated, spec.response):
             raise CheckpointError(
                 f"checkpoint property {spec.name} is "
@@ -696,18 +713,8 @@ def check_params(params: ModelParams, schema: Schema) -> None:
         # zeros, not random draws: checking loads no numpy.random
         template = init_prop_params(spec, params.inventory.k_for(spec.group),
                                     np.zeros)
-        for (prefix, owner, attr, _), (_, want, _, width) in zip(
-                _leaves(pp), _leaves(template)):
-            path = (f"props.{spec.name}."
-                    f"{'base.' if gated and attr != 'gate_' else ''}{prefix}")
-            fields += [(path + name, getattr(owner, attr + name),
-                        getattr(want, attr + name))
-                       for name in ("mu", "cut_raw", "sigma")
-                       if hasattr(want, attr + name)]
-            rho = getattr(owner, attr + "rho")
-            fields += [(f"{path}rho.{a}", rho[a], np.zeros(width or ()))
-                       for a in sorted(rho)]
-    for key, have, need in fields:
+        pairs += _pairs(pp, template, f"props.{spec.name}")
+    for key, have, need in pairs:
         if np.shape(have) != np.shape(need):
             raise CheckpointError(
                 f"checkpoint {key} has shape {np.shape(have)}, but the "

@@ -20,8 +20,8 @@ from .corpus import (
 )
 from .factorgraph import window_pairs
 from .params import (
-    BinaryParams, CategoricalParams, HurdleParams, ModelParams, OrdinalParams,
-    PriorParams, TemporalParams, TypeInventory, default_cut_raw, init_params,
+    HurdleParams, ModelParams, PriorParams, TemporalParams, TypeInventory,
+    _leaves, default_cut_raw, init_params,
 )
 from .schema import (
     BINARY, CATEGORICAL, GROUP_FOR_ATTACH, ORDINAL, TEMPORAL, Schema,
@@ -172,32 +172,14 @@ def _sign_patterns(k: int, n_props: int, rng: np.random.Generator,
 
 
 def _draw_rhos(pp, annotators, sigma_ann, rng):
-    def draw(base):
-        if isinstance(base, BinaryParams):
-            base.rho = {a: float(rng.normal(0.0, sigma_ann))
-                        for a in annotators}
-            base.sigma = max(sigma_ann ** 2, lk.SIGMA_FLOOR)
-        elif isinstance(base, CategoricalParams):
-            d = base.mu.shape[-1]
-            base.rho = {a: rng.normal(0.0, sigma_ann, size=d)
-                        for a in annotators}
-            base.sigma = np.eye(d) * max(sigma_ann ** 2, lk.SIGMA_FLOOR)
-        elif isinstance(base, OrdinalParams):
-            d = len(base.cut_raw)
-            base.rho = {a: rng.normal(0.0, sigma_ann, size=d)
-                        for a in annotators}
-            base.sigma = np.eye(d) * max(sigma_ann ** 2, lk.SIGMA_FLOOR)
-        elif isinstance(base, TemporalParams):
-            draw(base.start)
-            draw(base.end)
-            draw(base.order)
-
-    if isinstance(pp, HurdleParams):
-        pp.gate_rho = {a: float(rng.normal(0.0, sigma_ann))
-                       for a in annotators}
-        draw(pp.base)
-    else:
-        draw(pp)
+    var = max(sigma_ann ** 2, lk.SIGMA_FLOOR)
+    for _, owner, attr, width in _leaves(pp):
+        setattr(owner, attr + "rho", {
+            a: float(rng.normal(0.0, sigma_ann)) if width is None
+            else rng.normal(0.0, sigma_ann, size=width) for a in annotators})
+        if attr != "gate_":         # the hurdle gate keeps its default sigma
+            setattr(owner, attr + "sigma",
+                    var if width is None else np.eye(width) * var)
 
 
 def _sample_value(base, spec, annotator: str, type_idx: int,
