@@ -71,14 +71,6 @@ class ReliabilityMatrix:
                 out.add(key[0], key[1], value, conf)
         return out
 
-    @staticmethod
-    def from_records(records) -> "ReliabilityMatrix":
-        """Build from (item, annotator, value[, confidence]) tuples."""
-        out = ReliabilityMatrix()
-        for rec in records:
-            out.add(*rec)
-        return out
-
 
 def _coincidences(by_item: dict[str, list]):
     """Coincidence matrix over observed values; returns (values, matrix)."""

@@ -63,10 +63,6 @@ class TemporalTuple:
     def as_raw(self) -> tuple[float, float, float, float]:
         return (self.start1, self.start2, self.end1, self.end2)
 
-    @property
-    def has_free_order(self) -> bool:
-        return self.free_order is not None
-
 
 def normalize_temporal(raw, eps: float = LOCK_TOLERANCE) -> TemporalTuple:
     """Rescale a raw (start1, start2, end1, end2) tuple so the earlier
@@ -274,6 +270,12 @@ def validate_document(doc: DocumentGraph, schema: Schema,
     nodes = doc.node_by_id()
     if len(nodes) != sum(1 for _ in doc.nodes()):
         raise ConsistencyError(f"{doc.doc_id}: duplicate node ids")
+    for node_id in nodes:
+        # edge element ids join node ids with these
+        if "->" in str(node_id) or "--" in str(node_id):
+            raise ConsistencyError(
+                f"{doc.doc_id}: node id {node_id!r} contains '->' or '--', "
+                f"which join node ids into edge element ids")
     for si, sent in enumerate(doc.sentences):
         for pred, arg in sent.edges:
             p, a = nodes.get(pred), nodes.get(arg)
@@ -338,6 +340,13 @@ def _check_value(doc: DocumentGraph, spec, rec: AnnotationRecord) -> None:
     if rec.raw_confidence not in CONFIDENCE_LEVELS:
         raise ConsistencyError(
             f"{doc.doc_id}: confidence {rec.raw_confidence} outside 1..5")
+    ridit = rec.ridit_confidence
+    # type, not isinstance: a bool is not a number here
+    if ridit is not None and (type(ridit) not in (int, float)
+                              or not 0.0 <= ridit <= 1.0):
+        raise ConsistencyError(
+            f"{doc.doc_id}: ridit confidence {ridit!r} of {rec.annotator}'s "
+            f"{spec.name} answer on {rec.element} is not a number in [0, 1]")
     v = rec.value
     if spec.response == BINARY:
         ok = isinstance(v, bool)

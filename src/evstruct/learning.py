@@ -42,11 +42,9 @@ class FitConfig:
     m_step_iters: int = 200
     bp_max_iters: int = 200
     bp_damping: float = 0.1
-    bp_tol: float = 1e-8
     seed: int = 0
     confidence_weighting: bool = True
     learn_rho: bool = True
-    init_mu_scale: float = 0.5
     threads: int = 1             # accepted for compatibility; no effect
 
     def __post_init__(self):
@@ -427,8 +425,7 @@ def e_step(corpus: list[DocumentGraph], params: ModelParams, schema: Schema,
     if obs is None:
         obs = build_obs(corpus, schema, config.confidence_weighting)
     graphs = build_graphs(corpus, params, schema, config.window, obs)
-    return loopy_bp_batch(graphs, config.bp_max_iters, config.bp_damping,
-                          config.bp_tol)
+    return loopy_bp_batch(graphs, config.bp_max_iters, config.bp_damping)
 
 
 def posterior_matrices(obs: ObsIndex,
@@ -513,7 +510,6 @@ def fit(train: list[DocumentGraph], dev: list[DocumentGraph],
     obs = build_obs(train, schema, config.confidence_weighting)
     dev_obs = build_obs(dev, schema, config.confidence_weighting)
     params = init_params(schema, inventory, seed=config.seed,
-                         mu_scale=config.init_mu_scale,
                          annotators=obs.annotators)
     train_trace: list[float] = []
     dev_trace: list[float] = []

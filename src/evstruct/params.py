@@ -520,16 +520,18 @@ def item_logliks(packs: dict[str, _Pack], obs: ObsIndex, schema: Schema,
     if not tables:
         return np.zeros((n_items, k))
     elem = np.concatenate([t.elem for t in tables])
-    # each row's log-likelihoods (row first) times the row's weight
-    lls = [(row_logliks(packs[t.name], t).T * t.weight).T for t in tables]
-    shape = lls[0].shape[1:]                        # (..., K)
-    n_cols = int(np.prod(shape))
-    cols = [ll.reshape(len(ll), n_cols) for ll in lls]
-    # column by column: no array holds every row of every fit's columns
-    sums = np.stack([
-        np.bincount(elem, weights=np.concatenate([c[:, j] for c in cols]),
-                    minlength=n_items)
-        for j in range(n_cols)], axis=-1)
+    buf = None                                      # (columns, rows)
+    start = 0
+    for t in tables:
+        # each row's log-likelihoods (row first) times the row's weight
+        ll = (row_logliks(packs[t.name], t).T * t.weight).T
+        if buf is None:
+            shape = ll.shape[1:]                    # (..., K)
+            buf = np.empty((int(np.prod(shape)), len(elem)))
+        buf[:, start:start + len(ll)] = ll.reshape(len(ll), len(buf)).T
+        start += len(ll)
+    sums = np.stack([np.bincount(elem, weights=col, minlength=n_items)
+                     for col in buf], axis=-1)
     return np.moveaxis(sums.reshape((n_items,) + shape), 0, -2)
 
 
@@ -602,9 +604,24 @@ def _get(obj, path: str, key: str):
     return obj[key]
 
 
-def _leaf(value):
-    """A checkpoint number as a float, or a list of numbers as an array."""
-    return float(value) if np.ndim(value) == 0 else np.asarray(value)
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise CheckpointError(f"checkpoint {key} is not an object")
+    return value
+
+
+def _value(value, *key: str):
+    """A checkpoint number as a float, or a (nested) list of numbers as an
+    array; key is the path to it, joined only for the error."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:              # a ragged list
+        arr = None
+    if arr is None or arr.dtype.kind not in "if":
+        raise CheckpointError(
+            f"checkpoint {'.'.join(key)} is not a number or a list of "
+            f"numbers")
+    return float(arr) if arr.ndim == 0 else arr.astype(float, copy=False)
 
 
 def _prop_from_obj(obj: dict, path: str) -> PropParams:
@@ -620,9 +637,11 @@ def _prop_from_obj(obj: dict, path: str) -> PropParams:
         if kind == "block":
             values[name] = _prop_from_obj(value, key)
         elif kind == "rho":
-            values[name] = {a: _leaf(v) for a, v in value.items()}
+            # most entries are floats, taken as they are without a call
+            values[name] = {a: v if type(v) is float else _value(v, key, a)
+                            for a, v in _object(value, key).items()}
         else:
-            values[name] = _leaf(value)
+            values[name] = _value(value, key)
     return cls(**values)
 
 
@@ -649,52 +668,99 @@ def params_from_obj(obj: dict) -> ModelParams:
     if obj.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {obj.get('version')}")
     inv_obj = _get(obj, "", "inventory")
-    inv = TypeInventory(*(_get(inv_obj, "inventory", name) for name in
-                          ("k_event", "k_entity", "k_role", "k_rel")))
+    counts = {name: _get(inv_obj, "inventory", name) for name in
+              ("k_event", "k_entity", "k_role", "k_rel")}
+    for name, k in counts.items():
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise CheckpointError(
+                f"checkpoint inventory.{name} is {k!r}, not an integer")
+    inv = TypeInventory(**counts)
     pr = _get(obj, "", "priors")
     rel = _get(pr, "priors", "theta_rel")
+
+    def theta(table, path, key):
+        return _value(_get(table, path, key), path, key)
+
     priors = PriorParams(
-        theta_event=np.asarray(_get(pr, "priors", "theta_event")),
-        theta_entity=np.asarray(_get(pr, "priors", "theta_entity")),
-        theta_role=np.asarray(_get(pr, "priors", "theta_role")),
+        theta_event=theta(pr, "priors", "theta_event"),
+        theta_entity=theta(pr, "priors", "theta_entity"),
+        theta_role=theta(pr, "priors", "theta_role"),
         # older checkpoints also hold an unused entity x entity block
-        theta_rel={b: np.asarray(_get(rel, "priors.theta_rel", b))
-                   for b in REL_BLOCKS},
+        theta_rel={b: theta(rel, "priors.theta_rel", b) for b in REL_BLOCKS},
     )
     props = {name: _prop_from_obj(p, f"props.{name}")
-             for name, p in _get(obj, "", "props").items()}
+             for name, p in _object(_get(obj, "", "props"), "props").items()}
     return ModelParams(inventory=inv, priors=priors, props=props,
                        annotators=list(obj.get("annotators", [])))
 
 
 def _pairs(have, want, path: str):
-    """(key path, value, template value) of each number or array in a
-    property's parameters, walking the fields of a template laid out by the
-    schema; a rho entry's template is the zero row that the family gives an
-    annotator without one."""
+    """(key path, field name, value, shape the schema needs) of each number
+    or array in a property's parameters, walking the fields of a template
+    laid out by the schema."""
+    if type(have) is not type(want):
+        raise CheckpointError(f"checkpoint {path} is {_NAMES[type(have)]}; "
+                              f"the schema needs {_NAMES[type(want)]}")
     for name, kind in _LAYOUT[type(want)]:
         key, value = f"{path}.{name}", getattr(have, name)
         if kind == "block":
             yield from _pairs(value, getattr(want, name), key)
         elif kind == "rho":
-            zero = getattr(want, f"{name}_of")
-            yield from ((f"{key}.{a}", v, zero(a))
+            # the template has no intercepts: this is its zero row
+            need = np.shape(getattr(want, f"{name}_of")(""))
+            yield from ((f"{key}.{a}", name, v, need)
                         for a, v in sorted(value.items()))
         else:
-            yield key, value, getattr(want, name)
+            yield key, name, value, np.shape(getattr(want, name))
+
+
+def _check_values(pairs) -> None:
+    """Raise CheckpointError naming the key of a value that is not finite,
+    else of the first prior table that is not a distribution on its last
+    axis or covariance that is not positive definite."""
+    # every value in one array: a numpy call per value would cost more than
+    # reading the checkpoint
+    flat = [np.ravel(v) for _, _, v, _ in pairs if type(v) is not float]
+    flat.append(np.array([v for _, _, v, _ in pairs if type(v) is float]))
+    if not np.isfinite(np.concatenate(flat)).all():
+        key = next(key for key, _, v, _ in pairs if not np.isfinite(v).all())
+        raise CheckpointError(f"checkpoint {key} is not finite")
+    for key, name, v, _ in pairs:
+        if name == "theta" and (np.any(v < 0) or np.any(
+                np.abs(np.sum(v, axis=-1) - 1.0) > 1e-6)):
+            raise CheckpointError(
+                f"checkpoint {key} is not a distribution on its last axis")
+        if name.endswith("sigma") and not _positive_definite(v):
+            raise CheckpointError(
+                f"checkpoint {key} is not a positive definite covariance")
+
+
+def _positive_definite(sigma) -> bool:
+    """Whether a covariance is positive (a scalar) or symmetric positive
+    definite (a matrix)."""
+    if np.ndim(sigma) == 0:
+        return sigma > 0
+    try:
+        np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        return False
+    return np.abs(sigma - sigma.T).max() <= 1e-9 * np.abs(sigma).max()
 
 
 def check_params(params: ModelParams, schema: Schema) -> None:
     """Raise CheckpointError naming the first schema property that params
-    lack or hold under another response family or hurdle gating, or the
+    lack or hold under another response family or hurdle gating; else the
     key path of the first prior table or mu, cut_raw, sigma or rho value
     whose shape differs from freshly initialized parameters for the
-    inventory's type counts and the schema's outcomes."""
+    inventory's type counts and the schema's outcomes; else a value that
+    _check_values rejects."""
     fresh = PriorParams.uniform(params.inventory)
-    pairs = [(f"priors.theta_{n}", getattr(params.priors, f"theta_{n}"),
-              getattr(fresh, f"theta_{n}"))
+    pairs = [(f"priors.theta_{n}", "theta",
+              getattr(params.priors, f"theta_{n}"),
+              getattr(fresh, f"theta_{n}").shape)
              for n in ("event", "entity", "role")]
-    pairs += [(f"priors.theta_rel.{b}", params.priors.theta_rel.get(b), w)
+    pairs += [(f"priors.theta_rel.{b}", "theta",
+               params.priors.theta_rel.get(b), w.shape)
               for b, w in fresh.theta_rel.items()]
     for spec in schema:
         pp = params.props.get(spec.name)
@@ -714,11 +780,13 @@ def check_params(params: ModelParams, schema: Schema) -> None:
         template = init_prop_params(spec, params.inventory.k_for(spec.group),
                                     np.zeros)
         pairs += _pairs(pp, template, f"props.{spec.name}")
-    for key, have, need in pairs:
-        if np.shape(have) != np.shape(need):
+    for key, _, have, need in pairs:
+        # most values are floats, which np.shape is slow to measure
+        if (() if type(have) is float else np.shape(have)) != need:
             raise CheckpointError(
                 f"checkpoint {key} has shape {np.shape(have)}, but the "
-                f"inventory and schema need {np.shape(need)}")
+                f"inventory and schema need {need}")
+    _check_values(pairs)
 
 
 def save_params(params: ModelParams, path) -> None:

@@ -131,7 +131,6 @@ def _fit_candidates(obs: ObsIndex, kind: str, candidates: list[int],
     plan = [(k, r) for k in candidates for r in range(config.restarts)]
     fits = [init_params(sub, _inventory_for(kind, k),
                         seed=config.seed + 104729 * k + r,
-                        mu_scale=config.fit.init_mu_scale,
                         annotators=obs.annotators) for k, r in plan]
     names = [f"candidate K={k}, restart {r}" for k, r in plan]
     ks = np.array([k for k, _ in plan])

@@ -156,6 +156,64 @@ def test_malformed_checkpoint_is_data_error(tmp_path, capsys, edit, message):
     assert err.startswith("data error:") and message in err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _set_first(value):
+    """An edit that replaces the first number of a list."""
+    def edit(old):
+        return [value] + old[1:]
+    return edit
+
+
+@pytest.mark.parametrize("key, edit", [
+    # values
+    ("priors.theta_event", lambda old: [-1.0, 0.5, 1.5]),
+    ("priors.theta_entity", lambda old: [0.3, 0.3]),
+    ("priors.theta_rel.ee", lambda old: [[[NAN, 1.0]] * 3] * 3),
+    ("inventory.k_event", lambda old: "3"),
+    ("inventory.k_role", lambda old: True),
+    ("props.telic.mu", _set_first(NAN)),
+    ("props.part_duration.base.cut_raw", _set_first(INF)),
+    ("props.telic.sigma", lambda old: -1),
+    ("props.part_similarity.gate_sigma", lambda old: 0.0),
+    ("props.temporal_relation.start.sigma",
+     lambda old: [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ("props.part_duration.base.sigma",
+     lambda old: (-np.eye(len(old))).tolist()),
+    # structure
+    ("props.telic.rho", lambda old: [0.1, 0.2]),
+    ("props.telic.rho.ann0", lambda old: [0.1, 0.2]),
+    ("props.telic.rho.ann0", lambda old: "x"),
+    ("props.telic.mu", lambda old: [[0.0], [0.0, 1.0], [0.0]]),
+    ("props.telic.sigma", lambda old: True),
+    ("props.temporal_relation.start", lambda old: {**old, "family": "binary"}),
+], ids=["theta-negative", "theta-sum", "theta-nan", "k-string", "k-bool",
+        "mu-nan", "cut-raw-inf", "sigma-negative", "gate-sigma-zero",
+        "sigma-asymmetric", "sigma-not-pd", "rho-list", "rho-entry-list",
+        "rho-entry-string", "mu-ragged", "sigma-bool", "nested-family"])
+def test_bad_checkpoint_value_is_data_error(tmp_path, capsys, key, edit):
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "3", "--seed", "1",
+                "--k-event", "3", "--k-entity", "2", "--k-role", "2",
+                "--k-rel", "2"]) == 0
+    obj = json.loads((data / "true_params.json").read_text())
+    *parents, last = key.split(".")
+    node = obj
+    for part in parents:
+        node = node[part]
+    node[last] = edit(node[last])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["posteriors", "--corpus", str(data / "corpus.jsonl"),
+                "--checkpoint", str(bad), "--out",
+                str(tmp_path / "post")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"checkpoint {key} " in err
+    assert "Traceback" not in err
+
+
 def test_fit_then_posteriors(tmp_path):
     data = synth(tmp_path / "data")
     fitdir = tmp_path / "fit"

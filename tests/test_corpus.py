@@ -201,6 +201,38 @@ class TestValidation:
         save_corpus([doc], path)
         assert len(load_corpus(path, SCHEMA)) == 1
 
+    @pytest.mark.parametrize("node_id", ["p0->a0", "d0s0--p0"])
+    def test_node_id_with_element_separator(self, tmp_path, node_id):
+        # element ids join node ids with these separators
+        doc = DocumentGraph("d3", [Sentence((Node(node_id, "predicate", 0),),
+                                            (), ())], [], [])
+        path = tmp_path / "c.jsonl"
+        save_corpus([doc], path)
+        with pytest.raises(ConsistencyError) as exc:
+            load_corpus(path, SCHEMA)
+        assert "d3" in str(exc.value) and repr(node_id) in str(exc.value)
+
+    @pytest.mark.parametrize("ridit", ["high", 7.5, -0.2, True,
+                                       float("nan")])
+    def test_ridit_confidence_not_in_unit_interval(self, tmp_path, ridit):
+        doc = make_doc("d4", annotations=[rec("telic", True, ann="b")])
+        doc.annotations[0].ridit_confidence = ridit
+        path = tmp_path / "c.jsonl"
+        save_corpus([doc], path)
+        with pytest.raises(ConsistencyError) as exc:
+            load_corpus(path, SCHEMA)
+        for part in ("d4", "p0", "telic", "b", repr(ridit)):
+            assert part in str(exc.value)
+
+    @pytest.mark.parametrize("ridit", [0, 0.5, 1.0])
+    def test_ridit_confidence_in_unit_interval(self, tmp_path, ridit):
+        doc = make_doc(annotations=[rec("telic", True)])
+        doc.annotations[0].ridit_confidence = ridit
+        path = tmp_path / "c.jsonl"
+        save_corpus([doc], path)
+        assert load_corpus(path, SCHEMA)[0].annotations[0].ridit_confidence \
+            == ridit
+
 
 class TestRidit:
 

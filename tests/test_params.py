@@ -1,15 +1,19 @@
 """Checkpoint serialization of model parameters."""
 
+import dataclasses
 import json
 
 import numpy as np
 
 from evstruct.factorgraph import build_graph, loopy_bp
 from evstruct.params import (
-    REL_BLOCKS, TypeInventory, init_params, load_params, params_to_obj,
-    save_params,
+    REL_BLOCKS, TypeInventory, _leaves, check_params, init_params,
+    load_params, params_to_obj, save_params,
 )
-from evstruct.schema import default_schema
+from evstruct.schema import (
+    CATEGORICAL, ORDINAL, PRED_ARG_EDGE, PREDICATE_NODE, PropertySpec, Schema,
+    default_schema,
+)
 from evstruct.synth import SynthConfig, sample_corpus
 
 
@@ -33,3 +37,54 @@ def test_older_checkpoint_with_nn_block_loads(tmp_path):
     post = loopy_bp(build_graph(docs[0], params, schema, window=2,
                                 confidence_weighting=False))
     assert np.isfinite(post.evidence)
+
+
+def assert_same_tree(a, b, path="params"):
+    """a and b hold the same types and values, node for node."""
+    assert type(a) is type(b), path
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_tree(getattr(a, f.name), getattr(b, f.name),
+                             f"{path}.{f.name}")
+    elif isinstance(a, dict):
+        assert sorted(a) == sorted(b), path
+        for key in a:
+            assert_same_tree(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), path
+    else:
+        assert a == b, path
+
+
+def test_checkpoint_round_trips_every_family(tmp_path):
+    # the default schema's binary, gated binary, gated ordinal and temporal
+    # properties, plus an ungated ordinal and a categorical one
+    schema = Schema(default_schema().properties + (
+        PropertySpec("frequency", "subevent", PREDICATE_NODE, ORDINAL,
+                     n_levels=4),
+        PropertySpec("manner", "role", PRED_ARG_EDGE, CATEGORICAL,
+                     n_categories=3)))
+    annotators = ["ann0", "ann1", "ann2"]
+    params = init_params(schema, TypeInventory(3, 2, 2, 2), seed=0,
+                         annotators=annotators)
+    rng = np.random.default_rng(1)
+    for pp in params.props.values():
+        for _, owner, attr, width in _leaves(pp):
+            # a non-zero intercept and covariance on every leaf
+            setattr(owner, attr + "rho", {
+                a: float(rng.normal()) if width is None
+                else rng.normal(size=width) for a in annotators})
+            if width is None:
+                setattr(owner, attr + "sigma", float(rng.uniform(0.5, 2.0)))
+            else:
+                m = rng.normal(size=(width, width))
+                setattr(owner, attr + "sigma", m @ m.T + np.eye(width))
+    params.priors.theta_event = rng.dirichlet(np.ones(3))
+
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    save_params(params, first)
+    loaded = load_params(first)
+    save_params(loaded, again)
+    assert first.read_bytes() == again.read_bytes()
+    assert_same_tree(params, loaded)
+    check_params(loaded, schema)

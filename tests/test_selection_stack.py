@@ -12,7 +12,9 @@ from evstruct.learning import FitConfig, build_obs
 from evstruct.learning import (
     Adam, _fill_counts, _fuse_fits, _padded_packs, _params_from_packs,
 )
-from evstruct.params import TypeInventory, _leaves, _Pack, init_params
+from evstruct.params import (
+    TypeInventory, _leaves, _Pack, init_params, item_logliks, row_logliks,
+)
 from evstruct.schema import (
     CATEGORICAL, PREDICATE_NODE, PropertySpec, Schema, default_schema,
 )
@@ -332,3 +334,44 @@ def test_non_finite_objective_is_compute_error(tmp_path, monkeypatch,
     assert err.startswith("compute error: non-finite M-step objective in "
                           "candidate K=2, restart 0 (properties: [")
     assert "event_prop0" in err and "Traceback" not in err
+
+
+def reference_item_logliks(packs, obs, schema, kind):
+    """item_logliks summed column by column: each column's weighted rows
+    concatenated over the kind's properties, then binned per item."""
+    tables = [obs.tables[spec.name] for spec in schema.group(kind)]
+    elem = np.concatenate([t.elem for t in tables])
+    lls = [(row_logliks(packs[t.name], t).T * t.weight).T for t in tables]
+    shape = lls[0].shape[1:]
+    cols = [ll.reshape(len(ll), -1) for ll in lls]
+    n_items = len(obs.elements[kind])
+    sums = np.stack([
+        np.bincount(elem, weights=np.concatenate([c[:, j] for c in cols]),
+                    minlength=n_items)
+        for j in range(cols[0].shape[1])], axis=-1)
+    return np.moveaxis(sums.reshape((n_items,) + shape), 0, -2)
+
+
+@pytest.mark.parametrize("case", ["flat", "default-event", "default-rel"])
+def test_item_logliks_match_column_reference(case):
+    # the stacked E-step scores of every candidate, bit for bit
+    schema, kind, confidence, weighting, _ = CASES[case]
+    train, _ = split_corpus(schema, seed=4, confidence=confidence)
+    obs = build_obs(train, schema, weighting)
+    rng = np.random.default_rng(0)
+    fits = [init_params(schema, TypeInventory(k, k, k, k), seed=k,
+                        annotators=obs.annotators) for k in CANDIDATES]
+    for params in fits:
+        for pp in params.props.values():
+            for _, owner, attr, width in _leaves(pp):
+                setattr(owner, attr + "rho", {
+                    a: rng.normal(size=width or ()) for a in obs.annotators})
+    padded = _padded_packs(fits, schema, obs.annotators)
+    packs = {name: _Pack(name, pack.spec, {
+        key: np.stack([fit[name].arrays[key] for fit in padded])
+        for key in pack.arrays}) for name, pack in padded[0].items()}
+    got = item_logliks(packs, obs, schema, kind, max(CANDIDATES))
+    want = reference_item_logliks(packs, obs, schema, kind)
+    assert got.shape == (len(CANDIDATES), len(obs.elements[kind]),
+                         max(CANDIDATES))
+    assert got.tobytes() == want.tobytes()
