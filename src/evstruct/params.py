@@ -358,38 +358,30 @@ class _Pack:
     arrays: dict[str, np.ndarray]
 
 
-def _leaves(pp: PropParams):
+def _leaves(pp: PropParams, prefix: str = ""):
     """(array prefix, owner, attribute prefix, rho width) for each
-    mu/rho/sigma block of one property's parameters, gate first; the width
-    is None for scalar intercepts.  Every conversion between the parameter
-    tree and its packed arrays walks this."""
-    if isinstance(pp, HurdleParams):
-        yield "gate_", pp, "gate_", None
-        yield from _leaves(pp.base)
-    elif isinstance(pp, TemporalParams):
-        for block in ("start", "end", "order"):
-            for _, owner, attr, width in _leaves(getattr(pp, block)):
-                yield f"{block}.", owner, attr, width
-    elif isinstance(pp, BinaryParams):
-        yield "", pp, "", None
-    elif isinstance(pp, CategoricalParams):
-        yield "", pp, "", pp.mu.shape[-1]
-    elif isinstance(pp, OrdinalParams):
-        yield "", pp, "", len(pp.cut_raw)
-    else:  # pragma: no cover
-        raise TypeError(type(pp))
+    mu/rho/sigma block of one property's parameters, in field order (so
+    the gate first); the width is None for scalar intercepts.  A hurdle's
+    base keeps its property's array prefix; any other nested block adds
+    "<field>.".  Every conversion between the parameter tree and its
+    packed arrays walks this."""
+    for name, kind in _LAYOUT[type(pp)]:
+        if kind == "block":
+            yield from _leaves(getattr(pp, name),
+                               prefix if name == "base" else f"{prefix}{name}.")
+        elif kind == "rho":
+            attr = name[:-len("rho")]
+            # the intercepts of an annotator with no entry: a zero row
+            shape = np.shape(getattr(pp, f"{name}_of")(""))
+            yield prefix + attr, pp, attr, shape[0] if shape else None
 
 
 def _rho_matrix(rho: dict, annotators: list[str], dim: int | None) -> np.ndarray:
-    if dim is None:
-        out = np.zeros(len(annotators))
-        for i, a in enumerate(annotators):
-            out[i] = rho.get(a, 0.0)
-    else:
-        out = np.zeros((len(annotators), dim))
-        for i, a in enumerate(annotators):
-            if a in rho:
-                out[i] = rho[a]
+    out = np.zeros((len(annotators),) if dim is None
+                   else (len(annotators), dim))
+    for i, a in enumerate(annotators):
+        if a in rho:
+            out[i] = rho[a]
     return out
 
 
@@ -749,9 +741,9 @@ def _positive_definite(sigma) -> bool:
 
 def check_params(params: ModelParams, schema: Schema) -> None:
     """Raise CheckpointError naming the first schema property that params
-    lack or hold under another response family or hurdle gating; else the
-    key path of the first prior table or mu, cut_raw, sigma or rho value
-    whose shape differs from freshly initialized parameters for the
+    lack; else the key path of the first block of another family than the
+    schema's, or of the first prior table or mu, cut_raw, sigma or rho
+    value whose shape differs from freshly initialized parameters for the
     inventory's type counts and the schema's outcomes; else a value that
     _check_values rejects."""
     fresh = PriorParams.uniform(params.inventory)
@@ -767,15 +759,6 @@ def check_params(params: ModelParams, schema: Schema) -> None:
         if pp is None:
             raise CheckpointError(
                 f"checkpoint has no parameters for property {spec.name}")
-        gated = isinstance(pp, HurdleParams)
-        family = _NAMES.get(type(pp.base if gated else pp))
-        # the one family whose checkpoint and schema names differ
-        family = TEMPORAL if family == "temporal" else family
-        if (gated, family) != (spec.gated, spec.response):
-            raise CheckpointError(
-                f"checkpoint property {spec.name} is "
-                f"{'gated ' if gated else ''}{family}; the schema declares "
-                f"{'gated ' if spec.gated else ''}{spec.response}")
         # zeros, not random draws: checking loads no numpy.random
         template = init_prop_params(spec, params.inventory.k_for(spec.group),
                                     np.zeros)

@@ -20,8 +20,7 @@ from .corpus import (
 )
 from .factorgraph import window_pairs
 from .params import (
-    HurdleParams, ModelParams, PriorParams, TemporalParams, TypeInventory,
-    _leaves, default_cut_raw, init_params,
+    ModelParams, TemporalParams, TypeInventory, _leaves, init_params,
 )
 from .schema import (
     BINARY, CATEGORICAL, GROUP_FOR_ATTACH, ORDINAL, TEMPORAL, Schema,
@@ -113,9 +112,8 @@ def separated_params(schema: Schema, inventory: TypeInventory,
 
     for spec in schema:
         pp = params.props[spec.name]
-        base = pp.base if isinstance(pp, HurdleParams) else pp
-        k = base.mu.shape[0] if not isinstance(base, TemporalParams) \
-            else base.start.mu.shape[0]
+        base = pp.base if spec.gated else pp
+        k = inventory.k_for(spec.group)
         if spec.response == BINARY:
             kind, col = prop_col[spec.name]
             base.mu = half * sign_mats[kind][:, col]

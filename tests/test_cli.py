@@ -156,6 +156,38 @@ def test_malformed_checkpoint_is_data_error(tmp_path, capsys, edit, message):
     assert err.startswith("data error:") and message in err
 
 
+def _telic_as_ordinal(props):
+    props["telic"] = {"family": "ordinal", "mu": props["telic"]["mu"],
+                      "cut_raw": [0.0], "rho": {}, "sigma": [[1.0]]}
+
+
+def _similarity_without_gate(props):
+    props["part_similarity"] = props["part_similarity"]["base"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_telic_as_ordinal, "props.telic is ordinal; the schema needs binary"),
+    (_similarity_without_gate,
+     "props.part_similarity is binary; the schema needs hurdle"),
+], ids=["other-family", "missing-gate"])
+def test_checkpoint_family_mismatch_names_key_path(tmp_path, capsys, edit,
+                                                   message):
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "3", "--seed", "1",
+                "--k-event", "3", "--k-entity", "2", "--k-role", "2",
+                "--k-rel", "2"]) == 0
+    obj = json.loads((data / "true_params.json").read_text())
+    edit(obj["props"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["posteriors", "--corpus", str(data / "corpus.jsonl"),
+                "--checkpoint", str(bad), "--out",
+                str(tmp_path / "post")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"checkpoint {message}" in err
+
+
 NAN, INF = float("nan"), float("inf")
 
 

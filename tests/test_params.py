@@ -88,3 +88,50 @@ def test_checkpoint_round_trips_every_family(tmp_path):
     assert first.read_bytes() == again.read_bytes()
     assert_same_tree(params, loaded)
     check_params(loaded, schema)
+
+
+def _isinstance_leaves(pp):
+    """The hand-written walk that _leaves replaced: one branch per family."""
+    from evstruct.params import (
+        BinaryParams, CategoricalParams, HurdleParams, OrdinalParams,
+        TemporalParams,
+    )
+    if isinstance(pp, HurdleParams):
+        yield "gate_", pp, "gate_", None
+        yield from _isinstance_leaves(pp.base)
+    elif isinstance(pp, TemporalParams):
+        for block in ("start", "end", "order"):
+            for _, owner, attr, width in _isinstance_leaves(
+                    getattr(pp, block)):
+                yield f"{block}.", owner, attr, width
+    elif isinstance(pp, BinaryParams):
+        yield "", pp, "", None
+    elif isinstance(pp, CategoricalParams):
+        yield "", pp, "", pp.mu.shape[-1]
+    elif isinstance(pp, OrdinalParams):
+        yield "", pp, "", len(pp.cut_raw)
+    else:  # pragma: no cover
+        raise TypeError(type(pp))
+
+
+def test_leaves_walk_matches_one_branch_per_family():
+    # binary, gated binary, gated ordinal and temporal from the default
+    # schema, plus an ungated ordinal and a categorical property
+    schema = Schema(default_schema().properties + (
+        PropertySpec("frequency", "subevent", PREDICATE_NODE, ORDINAL,
+                     n_levels=4),
+        PropertySpec("manner", "role", PRED_ARG_EDGE, CATEGORICAL,
+                     n_categories=3)))
+    params = init_params(schema, TypeInventory(3, 2, 2, 2), seed=0,
+                         annotators=["ann0", "ann1"])
+    shapes = set()
+    for name, pp in params.props.items():
+        def tuples(walk):
+            return [(prefix, id(owner), attr, width)
+                    for prefix, owner, attr, width in walk(pp)]
+        assert tuples(_leaves) == tuples(_isinstance_leaves), name
+        spec = schema[name]
+        shapes.add((spec.gated, spec.response))
+    assert shapes == {(False, "binary"), (True, "binary"), (True, "ordinal"),
+                      (False, "temporal-tuple"), (False, "ordinal"),
+                      (False, "categorical")}
