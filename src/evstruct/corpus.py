@@ -64,7 +64,7 @@ class TemporalTuple:
         return (self.start1, self.start2, self.end1, self.end2)
 
 
-def normalize_temporal(raw, eps: float = LOCK_TOLERANCE) -> TemporalTuple:
+def normalize_temporal(raw) -> TemporalTuple:
     """Rescale a raw (start1, start2, end1, end2) tuple so the earlier
     start sits at 0 and the later end at 1, and classify which endpoints
     are locked to the boundary.
@@ -72,6 +72,7 @@ def normalize_temporal(raw, eps: float = LOCK_TOLERANCE) -> TemporalTuple:
     The relative order of the two free interior points is recorded only
     when one start and one end from *different* events are free.
     """
+    eps = LOCK_TOLERANCE
     s1, s2, e1, e2 = (float(v) for v in raw)
     if s1 > e1 + eps or s2 > e2 + eps:
         raise DegenerateSpanError(f"inverted span in {raw!r}")
@@ -149,7 +150,7 @@ class AnnotationRecord:
             property=obj["property"],
             annotator=obj["annotator"],
             value=obj["value"],
-            raw_confidence=int(obj["confidence"]),
+            raw_confidence=obj["confidence"],
             ridit_confidence=obj.get("ridit_confidence"),
         )
 
@@ -337,11 +338,12 @@ def validate_document(doc: DocumentGraph, schema: Schema,
 
 
 def _check_value(doc: DocumentGraph, spec, rec: AnnotationRecord) -> None:
-    if rec.raw_confidence not in CONFIDENCE_LEVELS:
-        raise ConsistencyError(
-            f"{doc.doc_id}: confidence {rec.raw_confidence} outside 1..5")
-    ridit = rec.ridit_confidence
+    level, ridit = rec.raw_confidence, rec.ridit_confidence
     # type, not isinstance: a bool is not a number here
+    if type(level) is not int or level not in CONFIDENCE_LEVELS:
+        raise ConsistencyError(
+            f"{doc.doc_id}: confidence {level!r} of {rec.annotator}'s "
+            f"{spec.name} answer on {rec.element} is not an integer in 1..5")
     if ridit is not None and (type(ridit) not in (int, float)
                               or not 0.0 <= ridit <= 1.0):
         raise ConsistencyError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,9 +37,10 @@ class FitConfig:
     window: int = 2
     max_em_iters: int = 20
     adam_lr: float = 0.05
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    # Adam's decay rates and epsilon are fixed: class constants
+    adam_beta1: ClassVar[float] = 0.9
+    adam_beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
     m_step_iters: int = 200
     bp_max_iters: int = 200
     bp_damping: float = 0.1

@@ -228,7 +228,7 @@ def temporal_loglik_grad(mu_start, rho_start, mu_end, rho_end,
     return g_start, g_end, g_order
 
 
-def temporal_outcome_space(include_order_cases=True):
+def temporal_outcome_space():
     """All discrete (lock_start, lock_end, free_order) outcomes with their
     geometric realizability; used for normalization checks and sampling.
 

@@ -205,16 +205,15 @@ def init_prop_params(spec, k: int, draw) -> PropParams:
 
 
 def init_params(schema: Schema, inv: TypeInventory, seed: int = 0,
-                mu_scale: float = 0.5,
                 annotators: list[str] | None = None) -> ModelParams:
-    """Symmetric start with small symmetry-breaking noise on mu; uniform
-    priors; zero annotator intercepts."""
+    """Symmetric start with small symmetry-breaking noise on mu (sd 0.5);
+    uniform priors; zero annotator intercepts."""
     rng = np.random.default_rng(seed)
     props = {}
     for spec in schema:
         props[spec.name] = init_prop_params(
             spec, inv.k_for(spec.group),
-            lambda shape: rng.normal(0.0, mu_scale, size=shape))
+            lambda shape: rng.normal(0.0, 0.5, size=shape))
     return ModelParams(inventory=inv, priors=PriorParams.uniform(inv),
                        props=props, annotators=list(annotators or []))
 
@@ -367,8 +366,8 @@ def _leaves(pp: PropParams, prefix: str = ""):
     packed arrays walks this."""
     for name, kind in _LAYOUT[type(pp)]:
         if kind == "block":
-            yield from _leaves(getattr(pp, name),
-                               prefix if name == "base" else f"{prefix}{name}.")
+            block = prefix if name == "base" else f"{prefix}{name}."
+            yield from _leaves(getattr(pp, name), block)
         elif kind == "rho":
             attr = name[:-len("rho")]
             # the intercepts of an annotator with no entry: a zero row
@@ -657,8 +656,9 @@ def params_to_obj(params: ModelParams) -> dict:
 
 
 def params_from_obj(obj: dict) -> ModelParams:
-    if obj.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {obj.get('version')}")
+    if _object(obj, "top level").get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {obj.get('version')}")
     inv_obj = _get(obj, "", "inventory")
     counts = {name: _get(inv_obj, "inventory", name) for name in
               ("k_event", "k_entity", "k_role", "k_rel")}
@@ -682,8 +682,12 @@ def params_from_obj(obj: dict) -> ModelParams:
     )
     props = {name: _prop_from_obj(p, f"props.{name}")
              for name, p in _object(_get(obj, "", "props"), "props").items()}
+    annotators = obj.get("annotators", [])
+    if not isinstance(annotators, list) or not all(
+            isinstance(a, str) for a in annotators):
+        raise CheckpointError("checkpoint annotators is not a list of strings")
     return ModelParams(inventory=inv, priors=priors, props=props,
-                       annotators=list(obj.get("annotators", [])))
+                       annotators=list(annotators))
 
 
 def _pairs(have, want, path: str):

@@ -141,16 +141,16 @@ def separated_params(schema: Schema, inventory: TypeInventory,
 
 
 def _sign_patterns(k: int, n_props: int, rng: np.random.Generator,
-                   draws: int = 200, repeat: bool = False) -> np.ndarray:
+                   repeat: bool = False) -> np.ndarray:
     """(k, n_props) matrix of +-1 type signatures with distinct rows and a
-    large minimum pairwise Hamming distance.  Where the random draws find
+    large minimum pairwise Hamming distance.  Where 200 random draws find
     no distinct rows, the first k patterns of a fixed enumeration of all
     2^n_props, each followed by its complement; past 2^n_props types they
     cycle if repeat allows it."""
     if k == 1:
         return np.ones((1, n_props))
     best, best_dist = None, -1
-    for _ in range(draws):
+    for _ in range(200):
         mat = rng.choice([-1.0, 1.0], size=(k, n_props))
         dists = [np.sum(mat[i] != mat[j])
                  for i in range(k) for j in range(i + 1, k)]

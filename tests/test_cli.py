@@ -115,6 +115,25 @@ def test_duplicate_document_ids_is_data_error(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("confidence", [2.7, True, "high"])
+def test_ingest_confidence_not_an_integer_is_data_error(tmp_path, capsys,
+                                                        confidence):
+    data = synth(tmp_path / "data")
+    lines = (data / "corpus.jsonl").read_text().splitlines()
+    doc = json.loads(lines[0])
+    first = doc["annotations"][0]
+    first["confidence"] = confidence
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert run(["ingest", "--corpus", str(bad), "--schema", "flat",
+                "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert (f"{doc['id']}: confidence {confidence!r} of "
+            f"{first['annotator']}'s {first['property']} answer on "
+            f"{first['element']} is not an integer in 1..5"
+            in capsys.readouterr().err)
+
+
 def test_linalg_failure_is_compute_error(tmp_path, monkeypatch, capsys):
     # LinAlgError subclasses ValueError; it must still report exit 4
     data = synth(tmp_path / "data")
@@ -156,36 +175,47 @@ def test_malformed_checkpoint_is_data_error(tmp_path, capsys, edit, message):
     assert err.startswith("data error:") and message in err
 
 
-def _telic_as_ordinal(props):
+def _telic_as_ordinal(obj):
+    props = obj["props"]
     props["telic"] = {"family": "ordinal", "mu": props["telic"]["mu"],
                       "cut_raw": [0.0], "rho": {}, "sigma": [[1.0]]}
+    return obj
 
 
-def _similarity_without_gate(props):
+def _similarity_without_gate(obj):
+    props = obj["props"]
     props["part_similarity"] = props["part_similarity"]["base"]
+    return obj
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_telic_as_ordinal, "props.telic is ordinal; the schema needs binary"),
+    (_telic_as_ordinal,
+     "checkpoint props.telic is ordinal; the schema needs binary"),
     (_similarity_without_gate,
-     "props.part_similarity is binary; the schema needs hurdle"),
-], ids=["other-family", "missing-gate"])
-def test_checkpoint_family_mismatch_names_key_path(tmp_path, capsys, edit,
-                                                   message):
+     "checkpoint props.part_similarity is binary; the schema needs hurdle"),
+    (lambda obj: [], "checkpoint top level is not an object"),
+    (lambda obj: {**obj, "annotators": 5},
+     "checkpoint annotators is not a list of strings"),
+    (lambda obj: {**obj, "annotators": ["ann0", 7]},
+     "checkpoint annotators is not a list of strings"),
+    (lambda obj: {**obj, "version": 2}, "unsupported checkpoint version 2"),
+], ids=["other-family", "missing-gate", "top-level-list", "annotators-int",
+        "annotators-non-string", "version"])
+def test_checkpoint_structure_is_data_error(tmp_path, capsys, edit, message):
     data = tmp_path / "data"
     assert run(["synth", "--out", str(data), "--docs", "3", "--seed", "1",
                 "--k-event", "3", "--k-entity", "2", "--k-role", "2",
                 "--k-rel", "2"]) == 0
     obj = json.loads((data / "true_params.json").read_text())
-    edit(obj["props"])
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
+    bad.write_text(json.dumps(edit(obj)))
     capsys.readouterr()
     assert run(["posteriors", "--corpus", str(data / "corpus.jsonl"),
                 "--checkpoint", str(bad), "--out",
                 str(tmp_path / "post")]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and f"checkpoint {message}" in err
+    assert err.startswith("data error:") and f"{bad}: {message}" in err
+    assert "Traceback" not in err
 
 
 NAN, INF = float("nan"), float("inf")

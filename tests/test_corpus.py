@@ -233,6 +233,27 @@ class TestValidation:
         assert load_corpus(path, SCHEMA)[0].annotations[0].ridit_confidence \
             == ridit
 
+    @pytest.mark.parametrize("conf", [3.0, 2.7, True, "3", "high", None, 0,
+                                      9])
+    def test_confidence_not_an_integer_level(self, tmp_path, conf):
+        # the rule of ordinal answers: a JSON integer, not a bool, in 1..5
+        doc = make_doc("d5", annotations=[rec("telic", True, ann="b",
+                                              conf=conf)])
+        path = tmp_path / "c.jsonl"
+        save_corpus([doc], path)
+        with pytest.raises(ConsistencyError) as exc:
+            load_corpus(path, SCHEMA)
+        for part in ("d5", "p0", "telic", "b", f"confidence {conf!r}"):
+            assert part in str(exc.value)
+
+    @pytest.mark.parametrize("conf", [1, 5])
+    def test_confidence_level_kept_as_read(self, tmp_path, conf):
+        doc = make_doc(annotations=[rec("telic", True, conf=conf)])
+        path = tmp_path / "c.jsonl"
+        save_corpus([doc], path)
+        level = load_corpus(path, SCHEMA)[0].annotations[0].raw_confidence
+        assert type(level) is int and level == conf
+
 
 class TestRidit:
 
