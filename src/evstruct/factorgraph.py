@@ -1,6 +1,7 @@
-"""Per-document factor graphs: construction from the generative story,
-sum-product loopy belief propagation with Bethe evidence, and an exact
-enumeration oracle for small documents.
+"""Factor graphs of the generative story: a corpus's graphs compiled once
+into flat arrays and fed potentials in each E-step, sum-product loopy
+belief propagation over them with Bethe evidence, the same graphs as
+per-document objects, and an exact enumeration oracle for small documents.
 
 Variables: event type per predicate, entity type per argument, role type
 per predicate-argument edge, relation type per window pair.  Priors are
@@ -12,17 +13,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .corpus import DocumentGraph, Node, doc_edge_id, edge_id
 from .likelihoods import logsumexp
 from .params import (
-    ModelParams, ObsIndex, _packs_from_params, build_obs, item_logliks,
+    ModelParams, ObsIndex, TypeInventory, _packs_from_params, build_obs,
+    item_logliks,
 )
 from .schema import Schema
 
 _THETA_FLOOR = 1e-12
+KINDS = ("event", "entity", "role", "rel")
 
 
 class ConstructionError(ValueError):
@@ -105,81 +109,226 @@ def _log(theta: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(theta, _THETA_FLOOR))
 
 
-def _prior_graph(doc: DocumentGraph, params: ModelParams,
-                 window: int) -> FactorGraph:
-    """One document's variables, each with its prior factor: unary on a
-    node, ternary over the endpoint types and its own type on an edge."""
-    graph = FactorGraph(doc.doc_id, [], [], {})
-    priors = params.priors
-
-    def add(var_id, kind, theta, *ends):
-        i = graph.var_index[var_id] = len(graph.variables)
-        graph.variables.append(
-            Variable(var_id, kind, params.inventory.k_for(kind)))
-        graph.factors.append(Factor(
-            f"prior:{var_id}", "prior",
-            tuple(graph.var_index[e] for e in ends) + (i,), _log(theta)))
-
-    for sent in doc.sentences:
-        for pred in sent.predicates:
-            add(pred.node_id, "event", priors.theta_event)
-        for arg in sent.arguments:
-            add(arg.node_id, "entity", priors.theta_entity)
-    for sent in doc.sentences:
-        for pred_id, arg_id in sent.edges:
-            add(edge_id(pred_id, arg_id), "role", priors.theta_role,
-                pred_id, arg_id)
-
-    derived = derive_doc_edges(doc, window)
-    derived_set = set(derived)
-    for a, b in doc.doc_edges:
-        if (a, b) not in derived_set:
-            raise ConstructionError(
-                f"{doc.doc_id}: document edge {a}--{b} is not generated by "
-                f"the window-{window} enumeration")
-    for a, b in derived:            # a is always the current predicate
-        kind_b = graph.variables[graph.var_index[b]].kind
-        add(doc_edge_id(a, b), "rel",
-            priors.theta_rel["ee" if kind_b == "event" else "en"], a, b)
-    return graph
-
-
-def build_graphs(corpus: list[DocumentGraph], params: ModelParams,
-                 schema: Schema, window: int, obs: ObsIndex
-                 ) -> list[FactorGraph]:
-    """Construct the factor graph of every document of a corpus.
-
-    obs is the corpus's observation index.  Each annotated element gets
-    one unary factor: its weighted observation rows scored under every
-    candidate type by the M-step's item_logliks, once per kind for the
-    whole corpus, appended in obs.elements order."""
-    graphs = [_prior_graph(doc, params, window) for doc in corpus]
-    packs = _packs_from_params(params, schema, obs.annotators)
-    for kind, elements in obs.elements.items():
-        lls = item_logliks(packs, obs, schema, kind,
-                           params.inventory.k_for(kind))
-        bad = ~np.isfinite(lls).all(axis=1)
-        if bad.any():
-            doc_i, element = elements[np.argmax(bad)]
-            raise NumericalError(f"document {graphs[doc_i].doc_id}: "
-                                 f"non-finite potential in factor "
-                                 f"lik:{element}")
-        for (doc_i, element), logpot in zip(elements, lls):
-            graph = graphs[doc_i]
-            graph.factors.append(Factor(f"lik:{element}", "likelihood",
-                                        (graph.var_index[element],), logpot))
-    return graphs
-
-
-def build_graph(doc: DocumentGraph, params: ModelParams, schema: Schema,
-                window: int, confidence_weighting: bool = True) -> FactorGraph:
-    """Construct the factor graph for one document: a corpus of one."""
-    obs = build_obs([doc], schema, confidence_weighting)
-    return build_graphs([doc], params, schema, window, obs)[0]
-
-
 # ---------------------------------------------------------------------------
-# sum-product loopy belief propagation, batched over documents
+# a batch of documents' factor graphs compiled once into flat arrays
+
+@dataclass
+class _Block:
+    """The factors of one table shape, in factor order, and the (rows, k)
+    edge-state indices of each table position."""
+    shape: tuple[int, ...]
+    factors: np.ndarray
+    es: list[np.ndarray]
+
+
+class CorpusGraph:
+    """The factor graphs of a batch of documents as flat arrays, built once
+    and then fed potentials.
+
+    Variables and factors are numbered document by document, each
+    document's factors as built: its variables' priors, then its
+    likelihoods.  Factors of one table shape form a block, in order of first
+    appearance.  Edge states (one per factor, position and state) are laid
+    out in factor, position order, so a bincount adds each variable's
+    incoming messages in the order its factors appear.  sources names sets
+    of factors of one shape, each as (shape, factor indices); self.sources
+    gives the (block, rows) of each.  A compiled corpus names each prior
+    table ("event", "entity", "role", "ee", "en") and each kind's
+    likelihoods ("lik:<kind>")."""
+
+    def __init__(self, doc_ids, doc_vars, var_ids, var_kinds, var_k,
+                 factor_ids, priors, scopes, fac_doc, sources):
+        self.doc_ids, self.doc_vars = doc_ids, doc_vars
+        self.var_ids, self.var_kinds = var_ids, var_kinds
+        self.factor_ids, self.priors, self.scopes = factor_ids, priors, scopes
+        self.doc_facs = np.searchsorted(fac_doc, np.arange(len(doc_ids) + 1))
+        self.fac_doc = np.array(fac_doc, dtype=int)
+        self.var_k = np.array(var_k, dtype=int)
+        self.var_doc = np.repeat(np.arange(len(doc_ids)), np.diff(doc_vars))
+        arity = np.fromiter(map(len, scopes), dtype=int, count=len(scopes))
+        self.fac_edge = np.cumsum(arity) - arity
+        self.edge_var = np.fromiter(chain.from_iterable(scopes), dtype=int,
+                                    count=int(arity.sum()))
+        self.var_off = np.cumsum(self.var_k) - self.var_k
+        edge_k = self.var_k[self.edge_var]
+        self.edge_off = np.cumsum(edge_k) - edge_k
+        self.n_states = int(self.var_k.sum())
+        self.es2vs = (np.repeat(self.var_off[self.edge_var] - self.edge_off,
+                                edge_k) + np.arange(int(edge_k.sum())))
+        self.es_edge = np.repeat(np.arange(len(edge_k)), edge_k)
+        self.es_doc = np.repeat(self.fac_doc, arity)[self.es_edge]
+        # one block per shape, in order of its first factor
+        sources = {name: (shape, np.array(fs, dtype=int))
+                   for name, (shape, fs) in sources.items() if fs}
+        shapes: dict[tuple, list] = {}
+        for shape, fs in sorted(sources.values(), key=lambda sf: sf[1][0]):
+            shapes.setdefault(shape, []).append(fs)
+        self.blocks = []
+        for shape, fss in shapes.items():
+            factors = np.sort(np.concatenate(fss))
+            self.blocks.append(_Block(shape, factors, [
+                self.edge_off[self.fac_edge[factors] + p][:, None]
+                + np.arange(k) for p, k in enumerate(shape)]))
+        block_of = {b.shape: i for i, b in enumerate(self.blocks)}
+        self.sources = {
+            name: (block_of[shape],
+                   np.searchsorted(self.blocks[block_of[shape]].factors, fs))
+            for name, (shape, fs) in sources.items()}
+
+    def potentials(self, params: ModelParams, schema: Schema,
+                   obs: ObsIndex) -> list[np.ndarray]:
+        """Each block's (rows, *shape) log-potentials: the log prior tables
+        broadcast into their rows, and each annotated element's weighted
+        observation rows scored under every candidate type by the M-step's
+        item_logliks, once per kind for the whole corpus."""
+        pots = [np.empty((len(b.factors),) + b.shape) for b in self.blocks]
+        priors = params.priors
+        for name, theta in (("event", priors.theta_event),
+                            ("entity", priors.theta_entity),
+                            ("role", priors.theta_role),
+                            *priors.theta_rel.items()):
+            if name in self.sources:
+                block, rows = self.sources[name]
+                pots[block][rows] = _log(theta)
+        packs = _packs_from_params(params, schema, obs.annotators)
+        for kind, elements in obs.elements.items():
+            lls = item_logliks(packs, obs, schema, kind,
+                               params.inventory.k_for(kind))
+            bad = ~np.isfinite(lls).all(axis=1)
+            if bad.any():
+                doc_i, element = elements[np.argmax(bad)]
+                raise NumericalError(f"document {self.doc_ids[doc_i]}: "
+                                     f"non-finite potential in factor "
+                                     f"lik:{element}")
+            if elements:
+                block, rows = self.sources["lik:" + kind]
+                pots[block][rows] = lls
+        return pots
+
+    def objects(self, pots: list[np.ndarray]) -> list[FactorGraph]:
+        """Each document's graph as objects, the factors' log-potentials
+        rows of pots."""
+        logpots = self._by_factor(pots)
+        ks, graphs = self.var_k.tolist(), []
+        for d, doc_id in enumerate(self.doc_ids):
+            v0, v1 = self.doc_vars[d], self.doc_vars[d + 1]
+            variables = [Variable(self.var_ids[v], self.var_kinds[v], ks[v])
+                         for v in range(v0, v1)]
+            graphs.append(FactorGraph(doc_id, variables, [
+                Factor(self.factor_ids[f],
+                       "prior" if self.priors[f] else "likelihood",
+                       tuple(v - v0 for v in self.scopes[f]), logpots[f])
+                for f in range(self.doc_facs[d], self.doc_facs[d + 1])],
+                {v.var_id: i for i, v in enumerate(variables)}))
+        return graphs
+
+    def _by_factor(self, rows_of_blocks) -> list:
+        out = [None] * len(self.factor_ids)
+        for block, rows in zip(self.blocks, rows_of_blocks):
+            for f, row in zip(block.factors.tolist(), rows):
+                out[f] = row
+        return out
+
+    def bp(self, pots: list[np.ndarray], max_iters: int = 200,
+           damping: float = 0.1, tol: float = 1e-8) -> list[PosteriorSet]:
+        """Synchronous flooding sum-product in log space, every edge state
+        at once.
+
+        A unary factor's message is constant, so it is computed once.  A
+        document is frozen the iteration its largest damped message change
+        drops below tol: its messages stay as they are, so each document
+        keeps its own iteration count and converged flag and does not
+        depend on the rest of the batch.  Marginals come from normalized
+        message products; evidence is the Bethe free energy, exact on
+        acyclic graphs."""
+        n_docs, es2vs = len(self.doc_ids), self.es2vs
+        f2v, v2f = np.zeros(len(es2vs)), np.zeros(len(es2vs))
+        unary, tables = np.zeros(len(es2vs)), []
+        for block, pot in zip(self.blocks, pots):
+            if len(block.shape) == 1:
+                unary[block.es[0]] = pot - pot.max(axis=1, keepdims=True)
+            else:
+                tables.append((block.es, pot))
+        iterations = np.zeros(n_docs, dtype=int)
+        converged = np.zeros(n_docs, dtype=bool)
+        for iteration in range(1, max_iters + 1):
+            if converged.all():
+                break
+            iterations[~converged] = iteration
+            total = np.bincount(es2vs, weights=f2v, minlength=self.n_states)
+            inc = total[es2vs] - f2v
+            inc -= np.maximum.reduceat(inc, self.edge_off)[self.es_edge]
+            cand = unary.copy()
+            for ess, pot in tables:
+                msgs = [inc[es] for es in ess]
+                arity = len(msgs)
+                acc = _joint(pot, msgs)
+                for pos, (es, m) in enumerate(zip(ess, msgs)):
+                    c = logsumexp(acc - _expand(m, pos, arity),
+                                  tuple(ax + 1 for ax in range(arity)
+                                        if ax != pos))
+                    cand[es] = c - c.max(axis=1, keepdims=True)
+            frozen = converged[self.es_doc] if converged.any() else None
+            bad = ~np.isfinite(cand)
+            if frozen is not None:
+                bad &= ~frozen
+            if bad.any():
+                f = np.searchsorted(self.fac_edge,
+                                    self.es_edge[np.argmax(bad)], "right") - 1
+                raise NumericalError(
+                    f"document {self.doc_ids[self.fac_doc[f]]}: non-finite "
+                    f"message from factor {self.factor_ids[f]}")
+            msg = (1 - damping) * cand + damping * f2v
+            moved = np.zeros(n_docs, dtype=bool)
+            moved[self.es_doc[np.abs(msg - f2v) >= tol]] = True
+            if frozen is None:
+                f2v, v2f = msg, inc
+            else:
+                np.copyto(f2v, msg, where=~frozen)
+                np.copyto(v2f, inc, where=~frozen)
+            converged |= ~moved
+        return self._posteriors(pots, f2v, v2f, iterations, converged)
+
+    def _posteriors(self, pots, f2v, v2f, iterations, converged):
+        n_docs, var_off, var_k = len(self.doc_ids), self.var_off, self.var_k
+        # variable beliefs: one segment of the flat state array per variable
+        total = np.bincount(self.es2vs, weights=f2v, minlength=self.n_states)
+        b = np.exp(total - np.repeat(np.maximum.reduceat(total, var_off),
+                                     var_k))
+        b /= np.repeat(np.add.reduceat(b, var_off), var_k)
+        entropy = -np.add.reduceat(b * np.log(np.where(b > 0, b, 1.0)),
+                                   var_off)
+        degree = np.bincount(self.edge_var, minlength=len(var_k))
+        evidence = -np.bincount(self.var_doc, weights=(degree - 1.0) * entropy,
+                                minlength=n_docs)
+        beliefs = []
+        for block, pot in zip(self.blocks, pots):
+            axes = tuple(range(1, len(block.shape) + 1))
+            acc = _joint(pot, [v2f[es] for es in block.es])
+            bf = np.exp(acc - acc.max(axis=axes, keepdims=True))
+            bf /= bf.sum(axis=axes, keepdims=True)
+            terms = np.where(bf > 0, bf * pot, 0.0) \
+                - bf * np.log(np.where(bf > 0, bf, 1.0))   # energy + entropy
+            evidence += np.bincount(self.fac_doc[block.factors],
+                                    weights=terms.sum(axis=axes),
+                                    minlength=n_docs)
+            beliefs.append(bf)
+        beliefs = self._by_factor(beliefs)
+        offs, ks, posts = var_off.tolist(), var_k.tolist(), []
+        for d in range(n_docs):
+            vs = range(self.doc_vars[d], self.doc_vars[d + 1])
+            posts.append(PosteriorSet(
+                marginals={self.var_ids[v]: b[offs[v]:offs[v] + ks[v]]
+                           for v in vs},
+                evidence=float(evidence[d]), converged=bool(converged[d]),
+                iterations=int(iterations[d]),
+                kinds={self.var_ids[v]: self.var_kinds[v] for v in vs},
+                factor_beliefs={
+                    self.factor_ids[f]: beliefs[f]
+                    for f in range(self.doc_facs[d], self.doc_facs[d + 1])
+                    if self.priors[f]}))
+        return posts
+
 
 def _expand(m, pos, arity):
     """(rows, k) messages broadcast along table axis pos."""
@@ -192,113 +341,125 @@ def _joint(logpot, msgs):
     return logpot
 
 
+def _compile(corpus: list[DocumentGraph], inventory: TypeInventory,
+             window: int, obs: ObsIndex) -> CorpusGraph:
+    """Each document's variables, each with its prior factor (unary on a
+    node, ternary over the endpoint types and its own type on an edge), then
+    one likelihood factor per annotated element, in obs.elements order."""
+    ke, kn = inventory.k_event, inventory.k_entity
+    k = {kind: inventory.k_for(kind) for kind in KINDS}
+    sources = {"event": ((ke,), []), "entity": ((kn,), []),
+               "role": ((ke, kn, k["role"]), []),
+               "ee": ((ke, ke, k["rel"]), []), "en": ((ke, kn, k["rel"]), [])}
+    sources.update({"lik:" + kind: ((k[kind],), []) for kind in KINDS})
+    liks: list[list] = [[] for _ in corpus]
+    for kind, elements in obs.elements.items():
+        for doc_i, element in elements:
+            liks[doc_i].append((kind, element))
+    doc_vars, var_ids, var_kinds, factor_ids, priors = [0], [], [], [], []
+    scopes: list[tuple] = []
+    fac_doc: list[int] = []
+    for d, doc in enumerate(corpus):
+        index: dict[str, int] = {}
+
+        def add(var_id, kind, source, *ends):
+            i = index[var_id] = len(var_ids)
+            var_ids.append(var_id)
+            var_kinds.append(kind)
+            sources[source][1].append(len(scopes))
+            scopes.append((*map(index.__getitem__, ends), i))
+
+        for sent in doc.sentences:
+            for pred in sent.predicates:
+                add(pred.node_id, "event", "event")
+            for arg in sent.arguments:
+                add(arg.node_id, "entity", "entity")
+        for sent in doc.sentences:
+            for pred_id, arg_id in sent.edges:
+                add(edge_id(pred_id, arg_id), "role", "role", pred_id, arg_id)
+        derived = derive_doc_edges(doc, window)
+        derived_set = set(derived)
+        for a, b in doc.doc_edges:
+            if (a, b) not in derived_set:
+                raise ConstructionError(
+                    f"{doc.doc_id}: document edge {a}--{b} is not generated "
+                    f"by the window-{window} enumeration")
+        for a, b in derived:            # a is always the current predicate
+            add(doc_edge_id(a, b), "rel",
+                "ee" if var_kinds[index[b]] == "event" else "en", a, b)
+        for kind, element in liks[d]:
+            sources["lik:" + kind][1].append(len(scopes))
+            scopes.append((index[element],))
+        factor_ids += ["prior:" + v for v in var_ids[doc_vars[-1]:]]
+        factor_ids += ["lik:" + element for _, element in liks[d]]
+        priors += ([True] * (len(var_ids) - doc_vars[-1])
+                   + [False] * len(liks[d]))
+        fac_doc += [d] * (len(scopes) - len(fac_doc))
+        doc_vars.append(len(var_ids))
+    return CorpusGraph([doc.doc_id for doc in corpus], doc_vars, var_ids,
+                       var_kinds, [k[kind] for kind in var_kinds], factor_ids,
+                       priors, scopes, fac_doc, sources)
+
+
+def compile_corpus(corpus: list[DocumentGraph], inventory: TypeInventory,
+                   window: int, obs: ObsIndex) -> CorpusGraph:
+    """The compiled graph of a corpus, kept with its observation index obs
+    by window and type counts: the graph depends on nothing else."""
+    key = (window, inventory.k_event, inventory.k_entity, inventory.k_role,
+           inventory.k_rel)
+    if key not in obs.graphs:
+        obs.graphs[key] = _compile(corpus, inventory, window, obs)
+    return obs.graphs[key]
+
+
+def build_graphs(corpus: list[DocumentGraph], params: ModelParams,
+                 schema: Schema, window: int, obs: ObsIndex
+                 ) -> list[FactorGraph]:
+    """Construct the factor graph of every document of a corpus.
+
+    obs is the corpus's observation index.  Each annotated element gets
+    one unary factor: its weighted observation rows scored under every
+    candidate type by the M-step's item_logliks, once per kind for the
+    whole corpus, appended in obs.elements order."""
+    graph = compile_corpus(corpus, params.inventory, window, obs)
+    return graph.objects(graph.potentials(params, schema, obs))
+
+
+def build_graph(doc: DocumentGraph, params: ModelParams, schema: Schema,
+                window: int, confidence_weighting: bool = True) -> FactorGraph:
+    """Construct the factor graph for one document: a corpus of one."""
+    obs = build_obs([doc], schema, confidence_weighting)
+    return build_graphs([doc], params, schema, window, obs)[0]
+
+
 def loopy_bp_batch(graphs: list[FactorGraph], max_iters: int = 200,
                    damping: float = 0.1, tol: float = 1e-8
                    ) -> list[PosteriorSet]:
-    """Synchronous flooding sum-product in log space over many graphs.
-
-    Factors of every graph are grouped by table shape, with messages in
-    flat arrays of edge states (one per factor, position and state) laid
-    out in graph, factor, position order: a bincount then adds each
-    variable's incoming messages in the order its factors appear.  A graph
-    is frozen the iteration its largest damped message change drops below
-    tol, so each keeps its own iteration count and converged flag.
-    Marginals come from normalized message products; evidence is the Bethe
-    free energy, exact on acyclic graphs.
-    """
-    n_docs = len(graphs)
-    var_k = np.array([v.k for g in graphs for v in g.variables], dtype=int)
-    var_doc = np.repeat(np.arange(n_docs), [len(g.variables) for g in graphs])
-    base = np.cumsum([0] + [len(g.variables) for g in graphs])
-    shapes, edge_var = {}, []
+    """Loopy BP over many graphs (CorpusGraph.bp), each graph's factors
+    stacked by table shape."""
+    doc_vars, var_ids, var_kinds, var_k = [0], [], [], []
+    factors, scopes, fac_doc = [], [], []
+    by_shape: dict[tuple, tuple] = {}
     for d, graph in enumerate(graphs):
+        base = len(var_ids)
+        for v in graph.variables:
+            var_ids.append(v.var_id)
+            var_kinds.append(v.kind)
+            var_k.append(v.k)
         for f in graph.factors:
-            shapes.setdefault(f.logpot.shape, []).append((d, f, len(edge_var)))
-            edge_var += [base[d] + vi for vi in f.var_idx]
-    edge_var = np.array(edge_var, dtype=int)
-    var_off = np.cumsum(var_k) - var_k
-    edge_k = var_k[edge_var]
-    edge_off = np.cumsum(edge_k) - edge_k
-    n_states = int(var_k.sum())
-    es2vs = np.repeat(var_off[edge_var] - edge_off, edge_k) \
-        + np.arange(int(edge_k.sum()))
-    # per shape: (graph, factor) per row, row graphs, tables, and the
-    # (rows, k) edge-state indices of each table position
-    groups = []
-    for shape, rows in shapes.items():
-        first = np.array([e for _, _, e in rows], dtype=int)
-        groups.append(([(d, f) for d, f, _ in rows],
-                       np.array([d for d, _, _ in rows], dtype=int),
-                       np.stack([f.logpot for _, f, _ in rows]),
-                       [edge_off[first + p][:, None] + np.arange(k)
-                        for p, k in enumerate(shape)]))
-
-    f2v, v2f = np.zeros(len(es2vs)), np.zeros(len(es2vs))
-    iterations = np.zeros(n_docs, dtype=int)
-    converged = np.zeros(n_docs, dtype=bool)
-    for iteration in range(1, max_iters + 1):
-        if converged.all():
-            break
-        iterations[~converged] = iteration
-        total = np.bincount(es2vs, weights=f2v, minlength=n_states)
-        moved = np.zeros(n_docs, dtype=bool)
-        for factors, doc, logpot, ess in groups:
-            rows = np.flatnonzero(~converged[doc])      # unfrozen factors
-            logpot, ess = logpot[rows], [es[rows] for es in ess]
-            msgs = [total[es2vs[es]] - f2v[es] for es in ess]
-            msgs = [m - m.max(axis=1, keepdims=True) for m in msgs]
-            arity = len(msgs)
-            if arity == 1:
-                cands = [logpot - logpot.max(axis=1, keepdims=True)]
-            else:
-                acc = _joint(logpot, msgs)
-                cands = [logsumexp(acc - _expand(m, pos, arity),
-                                   tuple(ax + 1 for ax in range(arity)
-                                         if ax != pos))
-                         for pos, m in enumerate(msgs)]
-                cands = [c - c.max(axis=1, keepdims=True) for c in cands]
-            for es, m, cand in zip(ess, msgs, cands):
-                bad = ~np.isfinite(cand).all(axis=1)
-                if bad.any():
-                    d, f = factors[rows[np.argmax(bad)]]
-                    raise NumericalError(
-                        f"document {graphs[d].doc_id}: non-finite message "
-                        f"from factor {f.factor_id}")
-                old = f2v[es]
-                msg = (1 - damping) * cand + damping * old
-                moved[doc[rows[np.abs(msg - old).max(axis=1) >= tol]]] = True
-                f2v[es], v2f[es] = msg, m
-        converged |= ~moved
-
-    # variable beliefs: one segment of the flat state array per variable
-    total = np.bincount(es2vs, weights=f2v, minlength=n_states)
-    b = np.exp(total - np.repeat(np.maximum.reduceat(total, var_off), var_k))
-    b /= np.repeat(np.add.reduceat(b, var_off), var_k)
-    entropy = -np.add.reduceat(b * np.log(np.where(b > 0, b, 1.0)), var_off)
-    degree = np.bincount(edge_var, minlength=len(var_k))
-    evidence = -np.bincount(var_doc, weights=(degree - 1.0) * entropy,
-                            minlength=n_docs)
-    beliefs = [{f.factor_id: None for f in g.factors if f.role == "prior"}
-               for g in graphs]
-    for factors, doc, logpot, ess in groups:
-        axes = tuple(range(1, len(ess) + 1))
-        acc = _joint(logpot, [v2f[es] for es in ess])
-        bf = np.exp(acc - acc.max(axis=axes, keepdims=True))
-        bf /= bf.sum(axis=axes, keepdims=True)
-        terms = np.where(bf > 0, bf * logpot, 0.0) \
-            - bf * np.log(np.where(bf > 0, bf, 1.0))       # energy + entropy
-        evidence += np.bincount(doc, weights=terms.sum(axis=axes),
-                                minlength=n_docs)
-        for (d, f), belief in zip(factors, bf):
-            if f.role == "prior":
-                beliefs[d][f.factor_id] = belief
-    return [PosteriorSet(
-        marginals={v.var_id: b[o:o + v.k] for v, o in
-                   zip(graph.variables, var_off[base[d]:base[d + 1]])},
-        evidence=float(evidence[d]), converged=bool(converged[d]),
-        iterations=int(iterations[d]),
-        kinds={v.var_id: v.kind for v in graph.variables},
-        factor_beliefs=beliefs[d]) for d, graph in enumerate(graphs)]
+            by_shape.setdefault(f.logpot.shape,
+                                (f.logpot.shape, []))[1].append(len(factors))
+            factors.append(f)
+            scopes.append(tuple(base + i for i in f.var_idx))
+            fac_doc.append(d)
+        doc_vars.append(len(var_ids))
+    compiled = CorpusGraph(
+        [g.doc_id for g in graphs], doc_vars, var_ids, var_kinds, var_k,
+        [f.factor_id for f in factors], [f.role == "prior" for f in factors],
+        scopes, fac_doc, by_shape)
+    return compiled.bp([np.stack([factors[f].logpot for f in block.factors])
+                        for block in compiled.blocks],
+                       max_iters, damping, tol)
 
 
 def loopy_bp(graph: FactorGraph, max_iters: int = 200, damping: float = 0.1,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import likelihoods as lk
 from .corpus import DocumentGraph
-from .factorgraph import PosteriorSet, build_graphs, loopy_bp_batch
+from .factorgraph import PosteriorSet, compile_corpus
 from .params import (  # noqa: F401  (re-exports for callers and tests)
     ModelParams, ObsIndex, OrdinalParams, PropTable, Term, TypeInventory,
     _Pack, _block, _leaves, _packs_from_params, _padded_packs, build_obs,
@@ -423,11 +423,13 @@ def optimize_likelihoods(params: ModelParams, schema: Schema, obs: ObsIndex,
 def e_step(corpus: list[DocumentGraph], params: ModelParams, schema: Schema,
            config: FitConfig, obs: ObsIndex | None = None
            ) -> list[PosteriorSet]:
-    """Loopy BP over a corpus, scored from its observation index obs."""
+    """Loopy BP over a corpus, scored from its observation index obs, on
+    the graph compiled once per obs, window and type counts."""
     if obs is None:
         obs = build_obs(corpus, schema, config.confidence_weighting)
-    graphs = build_graphs(corpus, params, schema, config.window, obs)
-    return loopy_bp_batch(graphs, config.bp_max_iters, config.bp_damping)
+    graph = compile_corpus(corpus, params.inventory, config.window, obs)
+    return graph.bp(graph.potentials(params, schema, obs),
+                    config.bp_max_iters, config.bp_damping)
 
 
 def posterior_matrices(obs: ObsIndex,

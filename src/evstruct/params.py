@@ -249,6 +249,9 @@ class ObsIndex:
     elements: dict[str, list[tuple[int, str]]]   # kind -> [(doc i, element)]
     tables: dict[str, PropTable]
     annotators: list[str]
+    # the corpus's compiled factor graphs, by window and type counts
+    # (factorgraph.compile_corpus)
+    graphs: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _base_terms(spec, values: list) -> list[tuple]:

@@ -9,7 +9,9 @@ from scipy.special import logsumexp
 
 from evstruct import params as params_module
 from evstruct.cli import EXIT_COMPUTE, run
-from evstruct.corpus import edge_id, load_corpus, prepare_corpus
+from evstruct.corpus import (
+    DocumentGraph, edge_id, load_corpus, prepare_corpus,
+)
 from evstruct.factorgraph import (
     NumericalError, PosteriorSet, build_graph, loopy_bp, loopy_bp_batch,
 )
@@ -232,3 +234,25 @@ def test_non_finite_potential_is_compute_error(tmp_path, capsys,
     assert err.startswith("compute error:")
     assert f"document {first.doc_id}: " in err
     assert f"factor {first_role_factor(first)}" in err
+
+
+@pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+def test_document_without_variables_anywhere_in_batch(where):
+    docs, params = cyclic_docs(seed=8, n_docs=4)
+    graphs = [build_graph(doc, params, SCHEMA, window=2) for doc in docs]
+    empty = build_graph(DocumentGraph("empty", [], [], []), params, SCHEMA,
+                        window=2)
+    assert empty.variables == [] and empty.factors == []
+    batch = graphs[:where] + [empty] + graphs[where:]
+    got = loopy_bp_batch(batch)
+    alone = got.pop(where)
+    assert (alone.iterations, alone.converged, alone.evidence) == (1, True, 0)
+    assert alone.marginals == {} and alone.factor_beliefs == {}
+    for post, graph in zip(got, graphs):
+        one = loopy_bp(graph)
+        assert (post.iterations, post.converged, post.evidence) \
+            == (one.iterations, one.converged, one.evidence)
+        for var, m in one.marginals.items():
+            np.testing.assert_array_equal(post.marginals[var], m)
+        for fid, bf in one.factor_beliefs.items():
+            np.testing.assert_array_equal(post.factor_beliefs[fid], bf)
