@@ -156,6 +156,9 @@ class CorpusGraph:
         self.es2vs = (np.repeat(self.var_off[self.edge_var] - self.edge_off,
                                 edge_k) + np.arange(int(edge_k.sum())))
         self.es_edge = np.repeat(np.arange(len(edge_k)), edge_k)
+        self.edge_cols = _columns(self.edge_off, edge_k)
+        self.var_cols = _columns(self.var_off, self.var_k)
+        self.state_var = np.repeat(np.arange(len(var_k)), self.var_k)
         self.es_doc = np.repeat(self.fac_doc, arity)[self.es_edge]
         # one block per shape, in order of its first factor
         sources = {name: (shape, np.array(fs, dtype=int))
@@ -169,6 +172,17 @@ class CorpusGraph:
             self.blocks.append(_Block(shape, factors, [
                 self.edge_off[self.fac_edge[factors] + p][:, None]
                 + np.arange(k) for p, k in enumerate(shape)]))
+        # each factor's row among the rows of all blocks, in block order
+        row_of = np.argsort(np.concatenate(
+            [np.zeros(0, dtype=int)] + [b.factors for b in self.blocks]))
+        self.row_of = row_of.tolist()
+        prior = np.flatnonzero(priors)
+        self.prior_rows = row_of[prior].tolist()
+        self.prior_ids = [factor_ids[f] for f in prior]
+        self.doc_priors = np.searchsorted(self.fac_doc[prior],
+                                          np.arange(len(doc_ids) + 1))
+        self.var_slices = list(map(slice, self.var_off.tolist(),
+                                   (self.var_off + self.var_k).tolist()))
         block_of = {b.shape: i for i, b in enumerate(self.blocks)}
         self.sources = {
             name: (block_of[shape],
@@ -223,24 +237,26 @@ class CorpusGraph:
         return graphs
 
     def _by_factor(self, rows_of_blocks) -> list:
-        out = [None] * len(self.factor_ids)
-        for block, rows in zip(self.blocks, rows_of_blocks):
-            for f, row in zip(block.factors.tolist(), rows):
-                out[f] = row
-        return out
+        rows = list(chain.from_iterable(rows_of_blocks))
+        return list(map(rows.__getitem__, self.row_of))
 
     def bp(self, pots: list[np.ndarray], max_iters: int = 200,
            damping: float = 0.1, tol: float = 1e-8) -> list[PosteriorSet]:
-        """Synchronous flooding sum-product in log space, every edge state
-        at once.
+        """Synchronous flooding sum-product, every edge state at once, with
+        messages in log space.
 
         A unary factor's message is constant, so it is computed once.  A
-        document is frozen the iteration its largest damped message change
-        drops below tol: its messages stay as they are, so each document
-        keeps its own iteration count and converged flag and does not
-        depend on the rest of the batch.  Marginals come from normalized
-        message products; evidence is the Bethe free energy, exact on
-        acyclic graphs."""
+        table of higher arity is max-shifted and exponentiated once; each
+        iteration contracts it with the exponentiated incoming messages of
+        the other positions (_contract), and a message is the log of that,
+        max-shifted.  _log floors every prior table at 1e-12 and each
+        shifted incoming message has a maximum of 1, so a contraction of a
+        prior table is never 0.  A document is frozen the iteration its
+        largest damped message change drops below tol: its messages stay
+        as they are, so each document keeps its own iteration count and
+        converged flag and does not depend on the rest of the batch.
+        Marginals come from normalized message products; evidence is the
+        Bethe free energy, exact on acyclic graphs."""
         n_docs, es2vs = len(self.doc_ids), self.es2vs
         f2v, v2f = np.zeros(len(es2vs)), np.zeros(len(es2vs))
         unary, tables = np.zeros(len(es2vs)), []
@@ -248,7 +264,9 @@ class CorpusGraph:
             if len(block.shape) == 1:
                 unary[block.es[0]] = pot - pot.max(axis=1, keepdims=True)
             else:
-                tables.append((block.es, pot))
+                axes = tuple(range(1, len(block.shape) + 1))
+                tables.append((block.es, np.exp(
+                    pot - pot.max(axis=axes, keepdims=True))))
         iterations = np.zeros(n_docs, dtype=int)
         converged = np.zeros(n_docs, dtype=bool)
         for iteration in range(1, max_iters + 1):
@@ -257,17 +275,14 @@ class CorpusGraph:
             iterations[~converged] = iteration
             total = np.bincount(es2vs, weights=f2v, minlength=self.n_states)
             inc = total[es2vs] - f2v
-            inc -= np.maximum.reduceat(inc, self.edge_off)[self.es_edge]
-            cand = unary.copy()
-            for ess, pot in tables:
-                msgs = [inc[es] for es in ess]
-                arity = len(msgs)
-                acc = _joint(pot, msgs)
-                for pos, (es, m) in enumerate(zip(ess, msgs)):
-                    c = logsumexp(acc - _expand(m, pos, arity),
-                                  tuple(ax + 1 for ax in range(arity)
-                                        if ax != pos))
-                    cand[es] = c - c.max(axis=1, keepdims=True)
+            inc -= _segment_max(inc, self.edge_cols)[self.es_edge]
+            ex, cand = np.exp(inc), unary.copy()
+            for ess, table in tables:
+                for es, c in zip(ess, _contract(table,
+                                                [ex[es] for es in ess])):
+                    cand[es] = np.log(c)
+            # a unary candidate's maximum is 0 already: subtracting it is exact
+            cand -= _segment_max(cand, self.edge_cols)[self.es_edge]
             frozen = converged[self.es_doc] if converged.any() else None
             bad = ~np.isfinite(cand)
             if frozen is not None:
@@ -290,15 +305,14 @@ class CorpusGraph:
         return self._posteriors(pots, f2v, v2f, iterations, converged)
 
     def _posteriors(self, pots, f2v, v2f, iterations, converged):
-        n_docs, var_off, var_k = len(self.doc_ids), self.var_off, self.var_k
+        n_docs, n_vars, sv = len(self.doc_ids), len(self.var_k), self.state_var
         # variable beliefs: one segment of the flat state array per variable
         total = np.bincount(self.es2vs, weights=f2v, minlength=self.n_states)
-        b = np.exp(total - np.repeat(np.maximum.reduceat(total, var_off),
-                                     var_k))
-        b /= np.repeat(np.add.reduceat(b, var_off), var_k)
-        entropy = -np.add.reduceat(b * np.log(np.where(b > 0, b, 1.0)),
-                                   var_off)
-        degree = np.bincount(self.edge_var, minlength=len(var_k))
+        b = np.exp(total - _segment_max(total, self.var_cols)[sv])
+        b /= np.bincount(sv, weights=b, minlength=n_vars)[sv]
+        entropy = -np.bincount(sv, weights=b * np.log(np.where(b > 0, b, 1.0)),
+                               minlength=n_vars)
+        degree = np.bincount(self.edge_var, minlength=n_vars)
         evidence = -np.bincount(self.var_doc, weights=(degree - 1.0) * entropy,
                                 minlength=n_docs)
         beliefs = []
@@ -313,21 +327,49 @@ class CorpusGraph:
                                     weights=terms.sum(axis=axes),
                                     minlength=n_docs)
             beliefs.append(bf)
-        beliefs = self._by_factor(beliefs)
-        offs, ks, posts = var_off.tolist(), var_k.tolist(), []
+        rows = list(chain.from_iterable(beliefs))
+        beliefs = list(map(rows.__getitem__, self.prior_rows))
+        marginals = list(map(b.__getitem__, self.var_slices))
+        posts = []
         for d in range(n_docs):
-            vs = range(self.doc_vars[d], self.doc_vars[d + 1])
+            vs = slice(self.doc_vars[d], self.doc_vars[d + 1])
+            ps = slice(self.doc_priors[d], self.doc_priors[d + 1])
             posts.append(PosteriorSet(
-                marginals={self.var_ids[v]: b[offs[v]:offs[v] + ks[v]]
-                           for v in vs},
+                marginals=dict(zip(self.var_ids[vs], marginals[vs])),
                 evidence=float(evidence[d]), converged=bool(converged[d]),
                 iterations=int(iterations[d]),
-                kinds={self.var_ids[v]: self.var_kinds[v] for v in vs},
-                factor_beliefs={
-                    self.factor_ids[f]: beliefs[f]
-                    for f in range(self.doc_facs[d], self.doc_facs[d + 1])
-                    if self.priors[f]}))
+                kinds=dict(zip(self.var_ids[vs], self.var_kinds[vs])),
+                factor_beliefs=dict(zip(self.prior_ids[ps], beliefs[ps]))))
         return posts
+
+
+def _columns(off, k):
+    """The j-th state of each segment of a flat state array (its last where
+    it has fewer), one index array per j: a reduction over short segments as
+    a few operations on whole arrays."""
+    return [off + np.minimum(j, k - 1) for j in range(k.max(initial=1))]
+
+
+def _segment_max(x, cols):
+    m = x[cols[0]]
+    for c in cols[1:]:
+        np.maximum(m, x[c], out=m)
+    return m
+
+
+def _contract(table, ex):
+    """The message to each position of a (rows, ...) table: the table
+    contracted with the (rows, k) messages ex of every other position, those
+    after it from the last axis, then those before it from the first."""
+    suffix = [table]                  # table contracted with ex[p + 1:]
+    for m in ex[:0:-1]:
+        suffix.append(np.einsum("r...k,rk->r...", suffix[-1], m))
+    out = []
+    for pos, part in enumerate(reversed(suffix)):
+        for m in ex[:pos]:
+            part = np.einsum("rk...,rk->r...", part, m)
+        out.append(part)
+    return out
 
 
 def _expand(m, pos, arity):

@@ -256,3 +256,34 @@ def test_document_without_variables_anywhere_in_batch(where):
             np.testing.assert_array_equal(post.marginals[var], m)
         for fid, bf in one.factor_beliefs.items():
             np.testing.assert_array_equal(post.factor_beliefs[fid], bf)
+
+
+def test_exact_zero_priors():
+    # _log floors every prior at 1e-12, so no contraction of a ternary
+    # table with shifted messages is 0 and no log(0) occurs; the suite
+    # turns a RuntimeWarning into an error
+    docs, params = cyclic_docs(seed=9, n_docs=4)
+    pri = params.priors
+    pri.theta_role[0] = 0.0
+    pri.theta_role[0, :, 0] = 1.0
+    pri.theta_role[:, -1] = np.eye(pri.theta_role.shape[-1])[-1]
+    for table in pri.theta_rel.values():
+        table[:, 0] = 0.0
+        table[:, 0, -1] = 1.0
+        table[-1, -1] = np.eye(table.shape[-1])[0]
+    assert sum((t == 0).sum() for t in (pri.theta_role,
+                                        *pri.theta_rel.values())) >= 20
+    graphs = [build_graph(doc, params, SCHEMA, window=2) for doc in docs]
+    posts = e_step(docs, params, SCHEMA, FitConfig())
+    for got, graph in zip(posts, graphs):
+        want = reference_loopy_bp(graph)
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        assert got.evidence == pytest.approx(want.evidence, rel=1e-10)
+        for var, m in want.marginals.items():
+            assert np.isfinite(got.marginals[var]).all()
+            np.testing.assert_allclose(got.marginals[var], m, rtol=0,
+                                       atol=1e-10)
+        for fid, bf in want.factor_beliefs.items():
+            np.testing.assert_allclose(got.factor_beliefs[fid], bf, rtol=0,
+                                       atol=1e-10)
