@@ -303,11 +303,18 @@ def validate_document(doc: DocumentGraph, schema: Schema,
     kinds = doc.element_kinds()
     by_elem_prop: dict[tuple[str, str, str], AnnotationRecord] = {}
     for rec in doc.annotations:
-        if rec.property not in schema:
-            raise SchemaError(
-                f"{doc.doc_id}: unknown property {rec.property!r}")
+        # a lookup rejects an element or property that is not a string;
+        # nothing looks the annotator up
+        if type(rec.annotator) is not str:
+            raise _not_a_string(doc, rec)
+        try:
+            if rec.property not in schema:
+                raise SchemaError(
+                    f"{doc.doc_id}: unknown property {rec.property!r}")
+            kind = kinds.get(rec.element)
+        except TypeError:               # unhashable: a JSON list or object
+            raise _not_a_string(doc, rec) from None
         spec = schema[rec.property]
-        kind = kinds.get(rec.element)
         if kind is None:
             raise SchemaError(
                 f"{doc.doc_id}: annotation references unknown element "
@@ -335,6 +342,13 @@ def validate_document(doc: DocumentGraph, schema: Schema,
                 f"{doc.doc_id}: gated annotation {rec.property} on "
                 f"{rec.element} by {rec.annotator} lacks a parent "
                 f"{parent_name}={gating_value} answer")
+
+
+def _not_a_string(doc: DocumentGraph, rec: AnnotationRecord) -> CorpusError:
+    field = next(f for f in ("element", "property", "annotator")
+                 if type(getattr(rec, f)) is not str)
+    return ConsistencyError(f"{doc.doc_id}: an annotation's {field} "
+                            f"{getattr(rec, field)!r} is not a string")
 
 
 def _check_value(doc: DocumentGraph, spec, rec: AnnotationRecord) -> None:

@@ -134,6 +134,31 @@ def test_ingest_confidence_not_an_integer_is_data_error(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("annotator", 7), ("property", ["x"]), ("element", ["x"])])
+@pytest.mark.parametrize("command", ["ingest", "fit"])
+def test_annotation_field_not_a_string_is_data_error(tmp_path, capsys,
+                                                     command, field, value):
+    # before, an int annotator ingested and then failed in fit with a
+    # TypeError; a list property or element failed in ingest with one
+    data = synth(tmp_path / "data")
+    lines = (data / "corpus.jsonl").read_text().splitlines()
+    doc = json.loads(lines[0])
+    doc["annotations"][0][field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    argv = [command, "--corpus", str(bad), "--schema", "flat",
+            "--out", str(tmp_path / "out")]
+    if command == "fit":
+        argv += ["--em-iters", "1", "--m-step-iters", "1", "--k-event", "2",
+                 "--k-entity", "2", "--k-role", "2", "--k-rel", "2"]
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {doc['id']}: ")
+    assert f"{field} {value!r} is not a string" in err
+
+
 def test_linalg_failure_is_compute_error(tmp_path, monkeypatch, capsys):
     # LinAlgError subclasses ValueError; it must still report exit 4
     data = synth(tmp_path / "data")

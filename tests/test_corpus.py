@@ -246,6 +246,20 @@ class TestValidation:
         for part in ("d5", "p0", "telic", "b", f"confidence {conf!r}"):
             assert part in str(exc.value)
 
+    @pytest.mark.parametrize("value", [["x"], {"k": 1}, 7, None],
+                             ids=["list", "object", "number", "null"])
+    @pytest.mark.parametrize("field", ["element", "property", "annotator"])
+    def test_annotation_field_not_a_string(self, tmp_path, field, value):
+        doc = make_doc("d6", annotations=[rec("telic", True)])
+        obj = doc.to_obj()
+        obj["annotations"][0][field] = value
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises((ConsistencyError, SchemaError)) as exc:
+            load_corpus(path, SCHEMA)
+        assert str(exc.value).startswith("d6: ")
+        assert f"{field} {value!r}" in str(exc.value)
+
     @pytest.mark.parametrize("conf", [1, 5])
     def test_confidence_level_kept_as_read(self, tmp_path, conf):
         doc = make_doc(annotations=[rec("telic", True, conf=conf)])
