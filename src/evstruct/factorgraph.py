@@ -372,14 +372,12 @@ def _contract(table, ex):
     return out
 
 
-def _expand(m, pos, arity):
-    """(rows, k) messages broadcast along table axis pos."""
-    return np.expand_dims(m, tuple(ax + 1 for ax in range(arity) if ax != pos))
-
-
 def _joint(logpot, msgs):
+    """(rows, ...) log-potentials plus the (rows, k) message of each table
+    position, broadcast along its axis."""
     for pos, m in enumerate(msgs):
-        logpot = logpot + _expand(m, pos, len(msgs))
+        logpot = logpot + np.expand_dims(
+            m, tuple(ax + 1 for ax in range(len(msgs)) if ax != pos))
     return logpot
 
 
