@@ -26,7 +26,6 @@ from .params import (
 from .schema import Schema
 
 _THETA_FLOOR = 1e-12
-KINDS = ("event", "entity", "role", "rel")
 
 
 class ConstructionError(ValueError):
@@ -131,10 +130,10 @@ class CorpusGraph:
     appearance.  Edge states (one per factor, position and state) are laid
     out in factor, position order, so a bincount adds each variable's
     incoming messages in the order its factors appear.  sources names sets
-    of factors of one shape, each as (shape, factor indices); self.sources
-    gives the (block, rows) of each.  A compiled corpus names each prior
-    table ("event", "entity", "role", "ee", "en") and each kind's
-    likelihoods ("lik:<kind>")."""
+    of factors of one shape, each as (shape, factor indices), and
+    source_rows gives the (block, rows) of each.  A compiled corpus names
+    each prior table ("event", "entity", "role", "ee", "en") and each
+    kind's likelihoods ("lik:<kind>")."""
 
     def __init__(self, doc_ids, doc_vars, var_ids, var_kinds, var_k,
                  factor_ids, priors, scopes, fac_doc, sources):
@@ -184,7 +183,7 @@ class CorpusGraph:
         self.var_slices = list(map(slice, self.var_off.tolist(),
                                    (self.var_off + self.var_k).tolist()))
         block_of = {b.shape: i for i, b in enumerate(self.blocks)}
-        self.sources = {
+        self.source_rows = {
             name: (block_of[shape],
                    np.searchsorted(self.blocks[block_of[shape]].factors, fs))
             for name, (shape, fs) in sources.items()}
@@ -201,8 +200,8 @@ class CorpusGraph:
                             ("entity", priors.theta_entity),
                             ("role", priors.theta_role),
                             *priors.theta_rel.items()):
-            if name in self.sources:
-                block, rows = self.sources[name]
+            if name in self.source_rows:
+                block, rows = self.source_rows[name]
                 pots[block][rows] = _log(theta)
         packs = _packs_from_params(params, schema, obs.annotators)
         for kind, elements in obs.elements.items():
@@ -215,14 +214,15 @@ class CorpusGraph:
                                      f"non-finite potential in factor "
                                      f"lik:{element}")
             if elements:
-                block, rows = self.sources["lik:" + kind]
+                block, rows = self.source_rows["lik:" + kind]
                 pots[block][rows] = lls
         return pots
 
     def objects(self, pots: list[np.ndarray]) -> list[FactorGraph]:
         """Each document's graph as objects, the factors' log-potentials
         rows of pots."""
-        logpots = self._by_factor(pots)
+        rows = list(chain.from_iterable(pots))
+        logpots = list(map(rows.__getitem__, self.row_of))
         ks, graphs = self.var_k.tolist(), []
         for d, doc_id in enumerate(self.doc_ids):
             v0, v1 = self.doc_vars[d], self.doc_vars[d + 1]
@@ -235,10 +235,6 @@ class CorpusGraph:
                 for f in range(self.doc_facs[d], self.doc_facs[d + 1])],
                 {v.var_id: i for i, v in enumerate(variables)}))
         return graphs
-
-    def _by_factor(self, rows_of_blocks) -> list:
-        rows = list(chain.from_iterable(rows_of_blocks))
-        return list(map(rows.__getitem__, self.row_of))
 
     def bp(self, pots: list[np.ndarray], max_iters: int = 200,
            damping: float = 0.1, tol: float = 1e-8) -> list[PosteriorSet]:
@@ -387,11 +383,11 @@ def _compile(corpus: list[DocumentGraph], inventory: TypeInventory,
     node, ternary over the endpoint types and its own type on an edge), then
     one likelihood factor per annotated element, in obs.elements order."""
     ke, kn = inventory.k_event, inventory.k_entity
-    k = {kind: inventory.k_for(kind) for kind in KINDS}
+    k = {kind: inventory.k_for(kind) for kind in obs.elements}
     sources = {"event": ((ke,), []), "entity": ((kn,), []),
                "role": ((ke, kn, k["role"]), []),
                "ee": ((ke, ke, k["rel"]), []), "en": ((ke, kn, k["rel"]), [])}
-    sources.update({"lik:" + kind: ((k[kind],), []) for kind in KINDS})
+    sources.update({"lik:" + kind: ((k[kind],), []) for kind in k})
     liks: list[list] = [[] for _ in corpus]
     for kind, elements in obs.elements.items():
         for doc_i, element in elements:
