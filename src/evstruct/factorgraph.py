@@ -279,10 +279,8 @@ class CorpusGraph:
                     cand[es] = np.log(c)
             # a unary candidate's maximum is 0 already: subtracting it is exact
             cand -= _segment_max(cand, self.edge_cols)[self.es_edge]
-            frozen = converged[self.es_doc] if converged.any() else None
-            bad = ~np.isfinite(cand)
-            if frozen is not None:
-                bad &= ~frozen
+            live = ~converged[self.es_doc]
+            bad = live & ~np.isfinite(cand)
             if bad.any():
                 f = np.searchsorted(self.fac_edge,
                                     self.es_edge[np.argmax(bad)], "right") - 1
@@ -292,11 +290,8 @@ class CorpusGraph:
             msg = (1 - damping) * cand + damping * f2v
             moved = np.zeros(n_docs, dtype=bool)
             moved[self.es_doc[np.abs(msg - f2v) >= tol]] = True
-            if frozen is None:
-                f2v, v2f = msg, inc
-            else:
-                np.copyto(f2v, msg, where=~frozen)
-                np.copyto(v2f, inc, where=~frozen)
+            np.copyto(f2v, msg, where=live)
+            np.copyto(v2f, inc, where=live)
             converged |= ~moved
         return self._posteriors(pots, f2v, v2f, iterations, converged)
 
@@ -440,7 +435,8 @@ def _compile(corpus: list[DocumentGraph], inventory: TypeInventory,
 def compile_corpus(corpus: list[DocumentGraph], inventory: TypeInventory,
                    window: int, obs: ObsIndex) -> CorpusGraph:
     """The compiled graph of a corpus, kept with its observation index obs
-    by window and type counts: the graph depends on nothing else."""
+    by window and type counts: with the corpus that obs indexes, all that
+    the graph depends on."""
     key = (window, inventory.k_event, inventory.k_entity, inventory.k_role,
            inventory.k_rel)
     if key not in obs.graphs:
