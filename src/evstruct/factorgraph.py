@@ -20,8 +20,8 @@ import numpy as np
 from .corpus import DocumentGraph, Node, doc_edge_id, edge_id
 from .likelihoods import logsumexp
 from .params import (
-    ModelParams, ObsIndex, TypeInventory, _packs_from_params, build_obs,
-    item_logliks,
+    PRIOR_TABLES, REL_TABLE, ModelParams, ObsIndex, TypeInventory,
+    _packs_from_params, build_obs, item_logliks,
 )
 from .schema import Schema
 
@@ -131,9 +131,9 @@ class CorpusGraph:
     out in factor, position order, so a bincount adds each variable's
     incoming messages in the order its factors appear.  sources names sets
     of factors of one shape, each as (shape, factor indices), and
-    source_rows gives the (block, rows) of each.  A compiled corpus names
-    each prior table ("event", "entity", "role", "ee", "en") and each
-    kind's likelihoods ("lik:<kind>")."""
+    source_rows gives the (block, rows) of each that has factors.  A
+    compiled corpus names each prior table by its name in PRIOR_TABLES and
+    each kind's likelihoods "lik:<kind>"."""
 
     def __init__(self, doc_ids, doc_vars, var_ids, var_kinds, var_k,
                  factor_ids, priors, scopes, fac_doc, sources):
@@ -159,9 +159,11 @@ class CorpusGraph:
         self.var_cols = _columns(self.var_off, self.var_k)
         self.state_var = np.repeat(np.arange(len(var_k)), self.var_k)
         self.es_doc = np.repeat(self.fac_doc, arity)[self.es_edge]
+        self.sources = {name: (shape, np.array(fs, dtype=int))
+                        for name, (shape, fs) in sources.items()}
+        sources = {name: sf for name, sf in self.sources.items()
+                   if len(sf[1])}
         # one block per shape, in order of its first factor
-        sources = {name: (shape, np.array(fs, dtype=int))
-                   for name, (shape, fs) in sources.items() if fs}
         shapes: dict[tuple, list] = {}
         for shape, fs in sorted(sources.values(), key=lambda sf: sf[1][0]):
             shapes.setdefault(shape, []).append(fs)
@@ -195,11 +197,7 @@ class CorpusGraph:
         observation rows scored under every candidate type by the M-step's
         item_logliks, once per kind for the whole corpus."""
         pots = [np.empty((len(b.factors),) + b.shape) for b in self.blocks]
-        priors = params.priors
-        for name, theta in (("event", priors.theta_event),
-                            ("entity", priors.theta_entity),
-                            ("role", priors.theta_role),
-                            *priors.theta_rel.items()):
+        for name, theta in params.priors.tables().items():
             if name in self.source_rows:
                 block, rows = self.source_rows[name]
                 pots[block][rows] = _log(theta)
@@ -217,6 +215,23 @@ class CorpusGraph:
                 block, rows = self.source_rows["lik:" + kind]
                 pots[block][rows] = lls
         return pots
+
+    def prior_counts(self, posts: list[PosteriorSet]
+                     ) -> dict[str, np.ndarray]:
+        """Each prior table's expected counts under the posteriors posts
+        that bp returned: the marginals of its unary factors' variables or
+        the beliefs of its ternary factors, summed in factor order; zeros
+        for a table with no factors."""
+        counts = {}
+        for name in PRIOR_TABLES:
+            shape, fs = self.sources[name]
+            total = counts[name] = np.zeros(shape)
+            for f in fs.tolist():
+                post = posts[self.fac_doc[f]]
+                total += (post.marginals[self.var_ids[self.scopes[f][0]]]
+                          if len(shape) == 1
+                          else post.factor_beliefs[self.factor_ids[f]])
+        return counts
 
     def objects(self, pots: list[np.ndarray]) -> list[FactorGraph]:
         """Each document's graph as objects, the factors' log-potentials
@@ -377,11 +392,9 @@ def _compile(corpus: list[DocumentGraph], inventory: TypeInventory,
     """Each document's variables, each with its prior factor (unary on a
     node, ternary over the endpoint types and its own type on an edge), then
     one likelihood factor per annotated element, in obs.elements order."""
-    ke, kn = inventory.k_event, inventory.k_entity
     k = {kind: inventory.k_for(kind) for kind in obs.elements}
-    sources = {"event": ((ke,), []), "entity": ((kn,), []),
-               "role": ((ke, kn, k["role"]), []),
-               "ee": ((ke, ke, k["rel"]), []), "en": ((ke, kn, k["rel"]), [])}
+    sources = {name: (inventory.shape(axes), [])
+               for name, axes in PRIOR_TABLES.items()}
     sources.update({"lik:" + kind: ((k[kind],), []) for kind in k})
     liks: list[list] = [[] for _ in corpus]
     for kind, elements in obs.elements.items():
@@ -408,16 +421,16 @@ def _compile(corpus: list[DocumentGraph], inventory: TypeInventory,
         for sent in doc.sentences:
             for pred_id, arg_id in sent.edges:
                 add(edge_id(pred_id, arg_id), "role", "role", pred_id, arg_id)
-        derived = derive_doc_edges(doc, window)
-        derived_set = set(derived)
+        pairs = list(window_pairs(doc, window))
+        derived = {(a.node_id, b.node_id) for a, b in pairs}
         for a, b in doc.doc_edges:
-            if (a, b) not in derived_set:
+            if (a, b) not in derived:
                 raise ConstructionError(
                     f"{doc.doc_id}: document edge {a}--{b} is not generated "
                     f"by the window-{window} enumeration")
-        for a, b in derived:            # a is always the current predicate
-            add(doc_edge_id(a, b), "rel",
-                "ee" if var_kinds[index[b]] == "event" else "en", a, b)
+        for a, b in pairs:              # a is always the current predicate
+            add(doc_edge_id(a.node_id, b.node_id), "rel", REL_TABLE[b.kind],
+                a.node_id, b.node_id)
         for kind, element in liks[d]:
             sources["lik:" + kind][1].append(len(scopes))
             scopes.append((index[element],))

@@ -23,9 +23,9 @@ from . import likelihoods as lk
 from .corpus import DocumentGraph
 from .factorgraph import PosteriorSet, compile_corpus
 from .params import (  # noqa: F401  (re-exports for callers and tests)
-    ModelParams, ObsIndex, OrdinalParams, PropTable, Term, TypeInventory,
-    _Pack, _block, _leaves, _packs_from_params, _padded_packs, build_obs,
-    init_params, item_logliks,
+    ModelParams, ObsIndex, OrdinalParams, PriorParams, PropTable, Term,
+    TypeInventory, _Pack, _block, _leaves, _packs_from_params, _padded_packs,
+    build_obs, init_params, item_logliks,
 )
 from .schema import Schema
 
@@ -455,37 +455,11 @@ def _normalize_counts(counts: np.ndarray) -> np.ndarray:
 
 
 def update_priors(params: ModelParams,
-                  posteriors: list[PosteriorSet]) -> None:
-    """Closed-form normalized expected-count updates for all type priors."""
-    inv = params.inventory
-    ev = np.zeros(inv.k_event)
-    en = np.zeros(inv.k_entity)
-    role = np.zeros((inv.k_event, inv.k_entity, inv.k_role))
-    rel = {"ee": np.zeros((inv.k_event, inv.k_event, inv.k_rel)),
-           "en": np.zeros((inv.k_event, inv.k_entity, inv.k_rel))}
-    for post in posteriors:
-        for var_id, kind in post.kinds.items():
-            if kind == "event":
-                ev += post.marginals[var_id]
-            elif kind == "entity":
-                en += post.marginals[var_id]
-        for fid, belief in post.factor_beliefs.items():
-            if fid.startswith("prior:") and belief.ndim == 3:
-                elem = fid.split(":", 1)[1]
-                if post.kinds[elem] == "role":
-                    role += belief
-                else:
-                    rel[_rel_block(post, elem)] += belief
-    params.priors.theta_event = _normalize_counts(ev)
-    params.priors.theta_entity = _normalize_counts(en)
-    params.priors.theta_role = _normalize_counts(role)
-    params.priors.theta_rel = {b: _normalize_counts(m)
-                               for b, m in rel.items()}
-
-
-def _rel_block(post: PosteriorSet, elem: str) -> str:
-    _, b = elem.split("--")
-    return "ee" if post.kinds[b] == "event" else "en"
+                  counts: dict[str, np.ndarray]) -> None:
+    """Closed-form prior updates: each table's expected counts
+    (CorpusGraph.prior_counts) normalized on its last axis."""
+    params.priors = PriorParams.from_tables(
+        {name: _normalize_counts(c) for name, c in counts.items()})
 
 
 def m_step(corpus: list[DocumentGraph], posteriors: list[PosteriorSet],
@@ -494,7 +468,8 @@ def m_step(corpus: list[DocumentGraph], posteriors: list[PosteriorSet],
     """One EM maximization step: closed-form priors, Adam likelihoods."""
     if obs is None:
         obs = build_obs(corpus, schema, config.confidence_weighting)
-    update_priors(params, posteriors)
+    graph = compile_corpus(corpus, params.inventory, config.window, obs)
+    update_priors(params, graph.prior_counts(posteriors))
     post_mats = posterior_matrices(obs, posteriors, params.inventory)
     optimize_likelihoods(params, schema, obs, post_mats, config)
     return params

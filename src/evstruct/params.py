@@ -5,7 +5,7 @@ shared by the E-step unary potentials, the M-step and type-count selection.
 
 Document edges are directed from the later (current) predicate to the
 earlier enqueued node, matching the generative story; relation priors are
-stored blockwise by the endpoint kinds (event/entity).
+stored blockwise by the kind of the earlier endpoint (REL_TABLE).
 """
 
 from __future__ import annotations
@@ -24,7 +24,19 @@ from .schema import (
 
 CHECKPOINT_VERSION = 1
 
-REL_BLOCKS = ("ee", "en")  # event x event, event x entity
+# every prior table by name, with the type-count group of each axis: a
+# distribution over the type of its last axis given the types of the others
+PRIOR_TABLES = {"event": ("event",), "entity": ("entity",),
+                "role": ("event", "entity", "role"),
+                "ee": ("event", "event", "rel"),
+                "en": ("event", "entity", "rel")}
+# the relation tables, kept in PriorParams.theta_rel, and the one of a window
+# pair by the node kind of its earlier endpoint
+REL_BLOCKS = tuple(n for n, axes in PRIOR_TABLES.items() if axes[-1] == "rel")
+REL_TABLE = {"predicate": "ee", "argument": "en"}
+# the keys of each prior table under a checkpoint's priors
+_PRIOR_KEYS = {n: ("theta_rel", n) if n in REL_BLOCKS else (f"theta_{n}",)
+               for n in PRIOR_TABLES}
 
 
 class CheckpointError(ValueError):
@@ -47,6 +59,10 @@ class TypeInventory:
         return {"event": self.k_event, "entity": self.k_entity,
                 "role": self.k_role, "rel": self.k_rel}[group]
 
+    def shape(self, groups) -> tuple[int, ...]:
+        """The type count of each group: the shape of a table over them."""
+        return tuple(map(self.k_for, groups))
+
 
 @dataclass
 class PriorParams:
@@ -55,18 +71,23 @@ class PriorParams:
     theta_role: np.ndarray     # (Ke, Kn, Kr), simplex on last axis
     theta_rel: dict            # block -> (Ka, Kb, Kq), simplex on last axis
 
+    def tables(self) -> dict[str, np.ndarray]:
+        """Each table by its name in PRIOR_TABLES, None for a missing
+        relation block."""
+        return {"event": self.theta_event, "entity": self.theta_entity,
+                "role": self.theta_role,
+                **{b: self.theta_rel.get(b) for b in REL_BLOCKS}}
+
+    @staticmethod
+    def from_tables(tables: dict[str, np.ndarray]) -> "PriorParams":
+        return PriorParams(tables["event"], tables["entity"], tables["role"],
+                           {b: tables[b] for b in REL_BLOCKS})
+
     @staticmethod
     def uniform(inv: TypeInventory) -> "PriorParams":
-        ke, kn, kr, kq = inv.k_event, inv.k_entity, inv.k_role, inv.k_rel
-        return PriorParams(
-            theta_event=np.full(ke, 1.0 / ke),
-            theta_entity=np.full(kn, 1.0 / kn),
-            theta_role=np.full((ke, kn, kr), 1.0 / kr),
-            theta_rel={
-                "ee": np.full((ke, ke, kq), 1.0 / kq),
-                "en": np.full((ke, kn, kq), 1.0 / kq),
-            },
-        )
+        return PriorParams.from_tables({
+            name: np.full(inv.shape(axes), 1.0 / inv.k_for(axes[-1]))
+            for name, axes in PRIOR_TABLES.items()})
 
 
 @dataclass
@@ -641,17 +662,16 @@ def _prop_from_obj(obj: dict, path: str) -> PropParams:
 
 def params_to_obj(params: ModelParams) -> dict:
     inv = params.inventory
+    priors: dict = {}
+    for name, theta in params.priors.tables().items():
+        *outer, key = _PRIOR_KEYS[name]
+        node = priors.setdefault(outer[0], {}) if outer else priors
+        node[key] = _arr(theta)
     return {
         "version": CHECKPOINT_VERSION,
         "inventory": {"k_event": inv.k_event, "k_entity": inv.k_entity,
                       "k_role": inv.k_role, "k_rel": inv.k_rel},
-        "priors": {
-            "theta_event": _arr(params.priors.theta_event),
-            "theta_entity": _arr(params.priors.theta_entity),
-            "theta_role": _arr(params.priors.theta_role),
-            "theta_rel": {b: _arr(v)
-                          for b, v in sorted(params.priors.theta_rel.items())},
-        },
+        "priors": priors,
         "props": {name: _prop_obj(pp)
                   for name, pp in sorted(params.props.items())},
         "annotators": sorted(params.annotators),
@@ -670,27 +690,21 @@ def params_from_obj(obj: dict) -> ModelParams:
             raise CheckpointError(
                 f"checkpoint inventory.{name} is {k!r}, not an integer")
     inv = TypeInventory(**counts)
-    pr = _get(obj, "", "priors")
-    rel = _get(pr, "priors", "theta_rel")
-
-    def theta(table, path, key):
-        return _value(_get(table, path, key), path, key)
-
-    priors = PriorParams(
-        theta_event=theta(pr, "priors", "theta_event"),
-        theta_entity=theta(pr, "priors", "theta_entity"),
-        theta_role=theta(pr, "priors", "theta_role"),
-        # older checkpoints also hold an unused entity x entity block
-        theta_rel={b: theta(rel, "priors.theta_rel", b) for b in REL_BLOCKS},
-    )
+    tables = {}
+    # older checkpoints also hold an unused entity x entity block: unread
+    for name in PRIOR_TABLES:
+        table, path = _get(obj, "", "priors"), "priors"
+        for key in _PRIOR_KEYS[name]:
+            table, path = _get(table, path, key), f"{path}.{key}"
+        tables[name] = _value(table, path)
     props = {name: _prop_from_obj(p, f"props.{name}")
              for name, p in _object(_get(obj, "", "props"), "props").items()}
     annotators = obj.get("annotators", [])
     if not isinstance(annotators, list) or not all(
             isinstance(a, str) for a in annotators):
         raise CheckpointError("checkpoint annotators is not a list of strings")
-    return ModelParams(inventory=inv, priors=priors, props=props,
-                       annotators=list(annotators))
+    return ModelParams(inventory=inv, priors=PriorParams.from_tables(tables),
+                       props=props, annotators=list(annotators))
 
 
 def _pairs(have, want, path: str):
@@ -753,14 +767,10 @@ def check_params(params: ModelParams, schema: Schema) -> None:
     value whose shape differs from freshly initialized parameters for the
     inventory's type counts and the schema's outcomes; else a value that
     _check_values rejects."""
-    fresh = PriorParams.uniform(params.inventory)
-    pairs = [(f"priors.theta_{n}", "theta",
-              getattr(params.priors, f"theta_{n}"),
-              getattr(fresh, f"theta_{n}").shape)
-             for n in ("event", "entity", "role")]
-    pairs += [(f"priors.theta_rel.{b}", "theta",
-               params.priors.theta_rel.get(b), w.shape)
-              for b, w in fresh.theta_rel.items()]
+    tables = params.priors.tables()
+    pairs = [(".".join(("priors",) + _PRIOR_KEYS[name]), "theta", tables[name],
+              params.inventory.shape(axes))
+             for name, axes in PRIOR_TABLES.items()]
     for spec in schema:
         pp = params.props.get(spec.name)
         if pp is None:

@@ -20,7 +20,8 @@ from .corpus import (
 )
 from .factorgraph import window_pairs
 from .params import (
-    ModelParams, TemporalParams, TypeInventory, _leaves, init_params,
+    REL_TABLE, ModelParams, TemporalParams, TypeInventory, _leaves,
+    init_params,
 )
 from .schema import (
     BINARY, CATEGORICAL, GROUP_FOR_ATTACH, ORDINAL, TEMPORAL, Schema,
@@ -320,35 +321,32 @@ def _sample_document(d, config, params, schema, inv, annotators, rng):
                 edges.append((pid, aid))
         sentences.append(Sentence(tuple(preds), tuple(args), tuple(edges)))
     skeleton = DocumentGraph(doc_id, sentences, [], [])
-    pairs = [(a.node_id, b.node_id)
-             for a, b in window_pairs(skeleton, config.window)]
-    doc = DocumentGraph(doc_id, sentences, list(pairs), [])
+    pairs = list(window_pairs(skeleton, config.window))
+    doc = DocumentGraph(doc_id, sentences,
+                        [(a.node_id, b.node_id) for a, b in pairs], [])
 
     labels: dict[str, int] = {}
     pr = params.priors
-    node_kind = {}
     for sent in sentences:
         for p in sent.predicates:
             labels[p.node_id] = int(rng.choice(inv.k_event, p=pr.theta_event))
-            node_kind[p.node_id] = "event"
         for a in sent.arguments:
             labels[a.node_id] = int(rng.choice(inv.k_entity,
                                                p=pr.theta_entity))
-            node_kind[a.node_id] = "entity"
         for pid, aid in sent.edges:
             theta = pr.theta_role[labels[pid], labels[aid]]
             labels[edge_id(pid, aid)] = int(rng.choice(inv.k_role, p=theta))
     for a, b in pairs:
-        block = "ee" if node_kind[b] == "event" else "en"
-        theta = pr.theta_rel[block][labels[a], labels[b]]
-        labels[doc_edge_id(a, b)] = int(rng.choice(inv.k_rel, p=theta))
+        theta = pr.theta_rel[REL_TABLE[b.kind]]
+        labels[doc_edge_id(a.node_id, b.node_id)] = int(rng.choice(
+            inv.k_rel, p=theta[labels[a.node_id], labels[b.node_id]]))
 
     elements = []
     for sent in sentences:
         elements += [(p.node_id, "event") for p in sent.predicates]
         elements += [(a.node_id, "entity") for a in sent.arguments]
         elements += [(edge_id(p, a), "role") for p, a in sent.edges]
-    elements += [(doc_edge_id(a, b), "rel") for a, b in pairs]
+    elements += [(doc_edge_id(a, b), "rel") for a, b in doc.doc_edges]
 
     records = []
     for element, kind in elements:
