@@ -283,7 +283,12 @@ def _on_path(fn, path, *args, verb="read", **kwargs):
 def _schema(opts) -> Schema:
     value = opts("schema")
     builtin = BUILTIN_SCHEMAS.get(value)
-    return builtin() if builtin else _on_path(Schema.load, value)
+    if builtin:
+        return builtin()
+    try:
+        return _on_path(Schema.load, value)
+    except SchemaError as exc:
+        raise SchemaError(f"{value}: {exc}") from None
 
 
 def _load_prepared(path, schema, window=None):

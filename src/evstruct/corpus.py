@@ -268,12 +268,26 @@ def _node_from_obj(obj: dict, kind: str, sentence: int) -> Node:
 def validate_document(doc: DocumentGraph, schema: Schema,
                       window: Optional[int] = None) -> None:
     """Check structural and annotation invariants; raise on violation."""
+    # ids are looked up and joined into element ids, a supersense looked up
+    for node in doc.nodes():
+        if type(node.node_id) is not str:
+            raise ConsistencyError(f"{doc.doc_id}: a {node.kind}'s id "
+                                   f"{node.node_id!r} is not a string")
+        if node.supersense is not None and type(node.supersense) is not str:
+            raise ConsistencyError(
+                f"{doc.doc_id}: {node.kind} {node.node_id}'s supersense "
+                f"{node.supersense!r} is not a string")
+    for edge in [e for s in doc.sentences for e in s.edges] + doc.doc_edges:
+        for end in edge:
+            if type(end) is not str:
+                raise ConsistencyError(f"{doc.doc_id}: an edge's endpoint "
+                                       f"{end!r} is not a string")
     nodes = doc.node_by_id()
     if len(nodes) != sum(1 for _ in doc.nodes()):
         raise ConsistencyError(f"{doc.doc_id}: duplicate node ids")
     for node_id in nodes:
         # edge element ids join node ids with these
-        if "->" in str(node_id) or "--" in str(node_id):
+        if "->" in node_id or "--" in node_id:
             raise ConsistencyError(
                 f"{doc.doc_id}: node id {node_id!r} contains '->' or '--', "
                 f"which join node ids into edge element ids")
@@ -404,6 +418,9 @@ def load_corpus(path, schema: Schema,
                 doc = DocumentGraph.from_obj(obj)
             except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
                 raise ParseError(str(exc), line=lineno) from exc
+            if type(doc.doc_id) is not str:
+                raise ConsistencyError(f"line {lineno}: document id "
+                                       f"{doc.doc_id!r} is not a string")
             if doc.doc_id in first_line:
                 raise ConsistencyError(
                     f"line {lineno}: duplicate document id {doc.doc_id!r} "

@@ -52,8 +52,14 @@ class FitConfig:
     def __post_init__(self):
         if self.adam_lr <= 0:
             raise ValueError(f"adam_lr must be positive, got {self.adam_lr}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        for name in ("window", "max_em_iters", "bp_max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        # a damping of 1 keeps every message at its start: uniform output
+        if not 0 <= self.bp_damping < 1:
+            raise ValueError(
+                f"bp_damping must be in [0, 1), got {self.bp_damping}")
         if self.m_step_iters < 0:
             raise ValueError(
                 f"m_step_iters must be >= 0, got {self.m_step_iters}")

@@ -86,8 +86,31 @@ class PropertySpec:
         return obj
 
     @staticmethod
-    def from_obj(obj: dict) -> "PropertySpec":
+    def from_obj(obj: dict, entry: str = "schema entry") -> "PropertySpec":
+        """A property from its entry in a schema file, laid out as to_obj
+        writes it; raise SchemaError naming entry and a field that is
+        missing or not of its JSON type."""
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{entry} is not an object")
+        if type(obj.get("name")) is str:
+            entry = f"{entry} ({obj['name']})"
+
+        def need(key, what):
+            return SchemaError(f"{entry}: {key} {obj[key]!r} is not {what}")
+
+        for key in ("name", "subspace", "attaches_to", "response"):
+            if key not in obj:
+                raise SchemaError(f"{entry} lacks {key}")
+            if type(obj[key]) is not str:
+                raise need(key, "a string")
+        for key in ("n_categories", "n_levels"):
+            if type(obj.get(key, 0)) is not int:
+                raise need(key, "an integer")
         gate = obj.get("gate")
+        if gate is not None and not (
+                isinstance(gate, list) and len(gate) == 2
+                and type(gate[0]) is str and type(gate[1]) is bool):
+            raise need("gate", "a [parent property, boolean] pair")
         return PropertySpec(
             name=obj["name"],
             subspace=obj["subspace"],
@@ -95,7 +118,7 @@ class PropertySpec:
             response=obj["response"],
             n_categories=obj.get("n_categories", 0),
             n_levels=obj.get("n_levels", 0),
-            gate=(gate[0], bool(gate[1])) if gate is not None else None,
+            gate=tuple(gate) if gate is not None else None,
         )
 
 
@@ -153,7 +176,10 @@ class Schema:
 
     @staticmethod
     def from_obj(objs: list) -> "Schema":
-        return Schema(tuple(PropertySpec.from_obj(o) for o in objs))
+        if not isinstance(objs, list):
+            raise SchemaError("schema is not a list of property entries")
+        return Schema(tuple(PropertySpec.from_obj(o, f"schema entry {i}")
+                            for i, o in enumerate(objs)))
 
     @staticmethod
     def load(path) -> "Schema":

@@ -809,3 +809,101 @@ def test_every_subcommand_help(capsys):
         for flag in COMMON_FLAGS + SUBCOMMAND_FLAGS[command]:
             assert re.search(rf"(?<![\w-]){flag}(?![\w-])", text), \
                 (command, flag)
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("document", ["x"], "line 1: document id ['x'] is not a string"),
+    ("document", 7, "line 1: document id 7 is not a string"),
+    ("predicate", ["x"], "a predicate's id ['x'] is not a string"),
+    ("edge", ["x"], "an edge's endpoint ['x'] is not a string"),
+    ("supersense", ["event"], "supersense ['event'] is not a string"),
+], ids=["doc-id-list", "doc-id-number", "predicate-id", "edge",
+        "supersense"])
+@pytest.mark.parametrize("command", ["ingest", "fit"])
+def test_id_or_supersense_not_a_string_is_data_error(tmp_path, capsys,
+                                                     command, where, value,
+                                                     message):
+    # before, ingest ended in a TypeError traceback, or ingest passed and
+    # fit or posteriors ended in one
+    data = synth(tmp_path / "data")
+    lines = (data / "corpus.jsonl").read_text().splitlines()
+    doc = json.loads(lines[0])
+    sent = doc["sentences"][0]
+    if where == "document":
+        doc["id"] = value
+    elif where == "predicate":
+        sent["predicates"][0]["id"] = value
+    elif where == "edge":
+        sent["edges"][0][0] = value
+    else:
+        sent["arguments"][0]["supersense"] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    argv = [command, "--corpus", str(bad), "--schema", "flat",
+            "--out", str(tmp_path / "out")]
+    if command == "fit":
+        argv += ["--em-iters", "1", "--m-step-iters", "1", "--k-event", "2",
+                 "--k-entity", "2", "--k-role", "2", "--k-rel", "2"]
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["posteriors", "--bp-damping", "1.0"], "bp_damping must be in [0, 1)"),
+    (["posteriors", "--bp-damping", "1.5"], "got 1.5"),
+    (["posteriors", "--bp-damping", "-0.1"], "got -0.1"),
+    (["posteriors", "--bp-max-iters", "-3"], "bp_max_iters must be >= 1"),
+    (["posteriors", "--bp-max-iters", "0"], "got 0"),
+    (["fit", "--em-iters", "0"], "max_em_iters must be >= 1, got 0"),
+    (["fit", "--em-iters", "-2"], "got -2"),
+], ids=["damping-one", "damping-above-one", "damping-negative",
+        "bp-iters-negative", "bp-iters-zero", "em-iters-zero",
+        "em-iters-negative"])
+def test_bp_or_em_setting_out_of_range_is_usage_error(tmp_path, capsys, argv,
+                                                      value):
+    # before, each exited 0: damping 1 wrote uniform marginals, damping 1.5
+    # converged nowhere, and no iterations saved the initial parameters
+    missing = str(tmp_path / "missing.jsonl")
+    argv = argv + ["--corpus", missing, "--out", str(tmp_path / "out")]
+    if argv[0] == "posteriors":
+        argv += ["--checkpoint", missing]
+    capsys.readouterr()
+    assert run(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid option value: ") and value in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("schema, message", [
+    ([{"subspace": "x"}], "schema entry 0 lacks name"),
+    ({"a": 1}, "schema is not a list of property entries"),
+    (["telic"], "schema entry 0 is not an object"),
+    ([{"name": "cat", "subspace": "s", "attaches_to": "predicate-node",
+       "response": "categorical", "n_categories": "3"}],
+     "schema entry 0 (cat): n_categories '3' is not an integer"),
+    ([{"name": "p", "subspace": "s", "attaches_to": "predicate-node",
+       "response": "binary"},
+      {"name": "q", "subspace": "s", "attaches_to": "predicate-node",
+       "response": "binary", "gate": ["p"]}],
+     "schema entry 1 (q): gate ['p'] is not a [parent property, boolean] "
+     "pair"),
+    ([{"name": 3, "subspace": "s", "attaches_to": "predicate-node",
+       "response": "binary"}], "schema entry 0: name 3 is not a string"),
+], ids=["no-name", "object", "entry-not-object", "n-categories-text",
+        "gate-short", "name-number"])
+def test_malformed_schema_file_is_data_error(tmp_path, capsys, schema,
+                                             message):
+    # before, each ended in a KeyError, AttributeError, TypeError or
+    # IndexError traceback
+    data = synth(tmp_path / "data")
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(schema))
+    capsys.readouterr()
+    assert run(["ingest", "--corpus", str(data / "corpus.jsonl"),
+                "--schema", str(path), "--out", str(tmp_path / "out")]) \
+        == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {path}: {message}\n"

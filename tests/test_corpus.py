@@ -327,3 +327,52 @@ def test_eventive_supersense():
     assert n.eventive
     assert not Node("a1", "argument", 0, supersense="artifact").eventive
     assert not Node("p0", "predicate", 0, supersense="event").eventive
+
+
+def _set_document_id(obj, value):
+    obj["id"] = value
+
+
+def _set_predicate_id(obj, value):
+    obj["sentences"][0]["predicates"][0]["id"] = value
+
+
+def _set_edge_end(obj, value):
+    obj["sentences"][0]["edges"][0][0] = value
+
+
+def _set_doc_edge_end(obj, value):
+    obj["doc_edges"] = [[value, "p0"]]
+
+
+def _set_supersense(obj, value):
+    obj["sentences"][0]["arguments"][0]["supersense"] = value
+
+
+# (edit, value, message): a document id names the line, anything else the
+# document
+NOT_A_STRING = [
+    (_set_document_id, ["x"], "line 1: document id ['x'] is not a string"),
+    (_set_document_id, 7, "line 1: document id 7 is not a string"),
+    (_set_predicate_id, ["x"], "d0: a predicate's id ['x'] is not a string"),
+    (_set_edge_end, ["x"], "d0: an edge's endpoint ['x'] is not a string"),
+    (_set_doc_edge_end, ["x"], "d0: an edge's endpoint ['x'] is not a string"),
+    (_set_supersense, ["event"],
+     "d0: argument a0's supersense ['event'] is not a string"),
+]
+NOT_A_STRING_IDS = ["doc-id-list", "doc-id-number", "predicate-id", "edge",
+                    "doc-edge", "supersense"]
+
+
+@pytest.mark.parametrize("edit, value, message", NOT_A_STRING,
+                         ids=NOT_A_STRING_IDS)
+def test_id_or_supersense_not_a_string(tmp_path, edit, value, message):
+    # before, each ended in a TypeError at load or later, at fit or
+    # posteriors time
+    obj = make_doc("d0", annotations=[rec("telic", True)]).to_obj()
+    edit(obj, value)
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ConsistencyError) as exc:
+        load_corpus(path, SCHEMA)
+    assert str(exc.value) == message
