@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .schema import (
     ARGUMENT_NODE, BINARY, CATEGORICAL, DOCUMENT_EDGE, EVENTIVE_SUPERSENSES,
@@ -49,8 +49,7 @@ class DegenerateSpanError(CorpusError):
     pass
 
 
-@dataclass(frozen=True)
-class TemporalTuple:
+class TemporalTuple(NamedTuple):
     """Normalized start/end points of two events on the unit interval."""
     start1: float
     start2: float
@@ -73,45 +72,45 @@ def normalize_temporal(raw) -> TemporalTuple:
     when one start and one end from *different* events are free.
     """
     eps = LOCK_TOLERANCE
-    s1, s2, e1, e2 = (float(v) for v in raw)
+    s1, s2, e1, e2 = map(float, raw)
     if s1 > e1 + eps or s2 > e2 + eps:
         raise DegenerateSpanError(f"inverted span in {raw!r}")
-    lo = min(s1, s2)
-    hi = max(e1, e2)
+    lo = s2 if s2 < s1 else s1          # min and max, picked as they pick
+    hi = e2 if e2 > e1 else e1
     if hi - lo <= eps:
         raise DegenerateSpanError(f"all four values coincide in {raw!r}")
     scale = hi - lo
-    s1, s2, e1, e2 = ((v - lo) / scale for v in (s1, s2, e1, e2))
+    s1, s2 = (s1 - lo) / scale, (s2 - lo) / scale
+    e1, e2 = (e1 - lo) / scale, (e2 - lo) / scale
 
     if abs(s1 - s2) <= eps:
-        lock_start, free_start = LOCK_BOTH, None
+        lock_start = LOCK_BOTH
         s1 = s2 = 0.0
     elif s1 <= eps:
-        lock_start, free_start = LOCK_E1, ("e2", s2)
+        lock_start = LOCK_E1
         s1 = 0.0
     else:
-        lock_start, free_start = LOCK_E2, ("e1", s1)
+        lock_start = LOCK_E2
         s2 = 0.0
 
     if abs(e1 - e2) <= eps:
-        lock_end, free_end = LOCK_BOTH, None
+        lock_end = LOCK_BOTH
         e1 = e2 = 1.0
     elif e1 >= 1.0 - eps:
-        lock_end, free_end = LOCK_E1, ("e2", e2)
+        lock_end = LOCK_E1
         e1 = 1.0
     else:
-        lock_end, free_end = LOCK_E2, ("e1", e1)
+        lock_end = LOCK_E2
         e2 = 1.0
 
     free_order = None
-    if free_start is not None and free_end is not None \
-            and free_start[0] != free_end[0]:
-        # by construction the free start and free end belong to different
-        # events; order them by owning event
-        points = {free_start[0]: free_start[1], free_end[0]: free_end[1]}
-        if abs(points["e1"] - points["e2"]) <= eps:
+    if LOCK_BOTH not in (lock_start, lock_end) and lock_start != lock_end:
+        # one start and one end are free, of different events: order them
+        # by owning event
+        p1, p2 = (e1, s2) if lock_start == LOCK_E1 else (s1, e2)
+        if abs(p1 - p2) <= eps:
             free_order = ORDER_TIE
-        elif points["e1"] < points["e2"]:
+        elif p1 < p2:
             free_order = ORDER_E1_FIRST
         else:
             free_order = ORDER_E2_FIRST
@@ -122,7 +121,7 @@ def normalize_temporal(raw) -> TemporalTuple:
 Value = Union[bool, int, list]
 
 
-@dataclass
+@dataclass(slots=True)
 class AnnotationRecord:
     element: str
     property: str
@@ -145,14 +144,9 @@ class AnnotationRecord:
 
     @staticmethod
     def from_obj(obj: dict) -> "AnnotationRecord":
-        return AnnotationRecord(
-            element=obj["element"],
-            property=obj["property"],
-            annotator=obj["annotator"],
-            value=obj["value"],
-            raw_confidence=obj["confidence"],
-            ridit_confidence=obj.get("ridit_confidence"),
-        )
+        return AnnotationRecord(obj["element"], obj["property"],
+                                obj["annotator"], obj["value"],
+                                obj["confidence"], obj.get("ridit_confidence"))
 
 
 @dataclass(frozen=True)
@@ -244,7 +238,8 @@ class DocumentGraph:
             doc_id=obj["id"],
             sentences=sentences,
             doc_edges=[(e[0], e[1]) for e in obj["doc_edges"]],
-            annotations=[AnnotationRecord.from_obj(a) for a in obj["annotations"]],
+            annotations=list(map(AnnotationRecord.from_obj,
+                                 obj["annotations"])),
         )
 
 
@@ -315,42 +310,54 @@ def validate_document(doc: DocumentGraph, schema: Schema,
                 f"{window - 1} sentences")
 
     kinds = doc.element_kinds()
-    by_elem_prop: dict[tuple[str, str, str], AnnotationRecord] = {}
+    rules = {spec.name: (spec, *_value_rule(spec)) for spec in schema}
+    answers: dict[tuple[str, str, str], AnnotationRecord] = {}
+    gated = []
     for rec in doc.annotations:
         # a lookup rejects an element or property that is not a string;
         # nothing looks the annotator up
         if type(rec.annotator) is not str:
             raise _not_a_string(doc, rec)
         try:
-            if rec.property not in schema:
+            rule = rules.get(rec.property)
+            if rule is None:
                 raise SchemaError(
                     f"{doc.doc_id}: unknown property {rec.property!r}")
             kind = kinds.get(rec.element)
         except TypeError:               # unhashable: a JSON list or object
             raise _not_a_string(doc, rec) from None
-        spec = schema[rec.property]
-        if kind is None:
-            raise SchemaError(
-                f"{doc.doc_id}: annotation references unknown element "
-                f"{rec.element!r}")
+        spec, json_type, least, greatest = rule
         if kind != spec.attaches_to:
+            if kind is None:
+                raise SchemaError(
+                    f"{doc.doc_id}: annotation references unknown element "
+                    f"{rec.element!r}")
             raise SchemaError(
                 f"{doc.doc_id}: property {rec.property} attaches to "
                 f"{spec.attaches_to}, not {kind}")
-        _check_value(doc, spec, rec)
+        level, ridit, v = rec.raw_confidence, rec.ridit_confidence, rec.value
+        # type, not isinstance: a bool is not a number here
+        if type(level) is not int or not 1 <= level <= 5:  # CONFIDENCE_LEVELS
+            raise _bad_answer(doc, spec, rec, "confidence", level,
+                              "an integer in 1..5")
+        if ridit is not None and (type(ridit) not in (int, float)
+                                  or not 0.0 <= ridit <= 1.0):
+            raise _bad_answer(doc, spec, rec, "ridit confidence", ridit,
+                              "a number in [0, 1]")
+        if json_type is None:
+            _check_span(doc, spec, rec)
+        elif type(v) is not json_type or not least <= v <= greatest:
+            raise _bad_value(doc, spec, v)
         key = (rec.element, rec.property, rec.annotator)
-        if key in by_elem_prop:
+        if answers.setdefault(key, rec) is not rec:
             raise ConsistencyError(
                 f"{doc.doc_id}: {rec.annotator} answered {rec.property} on "
                 f"{rec.element} more than once")
-        by_elem_prop[key] = rec
+        if spec.gate is not None:
+            gated.append((rec, spec.gate))
     # gated records require a matching parent answer by the same annotator
-    for rec in doc.annotations:
-        spec = schema[rec.property]
-        if spec.gate is None:
-            continue
-        parent_name, gating_value = spec.gate
-        parent = by_elem_prop.get((rec.element, parent_name, rec.annotator))
+    for rec, (parent_name, gating_value) in gated:
+        parent = answers.get((rec.element, parent_name, rec.annotator))
         if parent is None or bool(parent.value) != gating_value:
             raise ConsistencyError(
                 f"{doc.doc_id}: gated annotation {rec.property} on "
@@ -365,44 +372,42 @@ def _not_a_string(doc: DocumentGraph, rec: AnnotationRecord) -> CorpusError:
                             f"{getattr(rec, field)!r} is not a string")
 
 
-def _check_value(doc: DocumentGraph, spec, rec: AnnotationRecord) -> None:
-    level, ridit = rec.raw_confidence, rec.ridit_confidence
-    # type, not isinstance: a bool is not a number here
-    if type(level) is not int or level not in CONFIDENCE_LEVELS:
-        raise ConsistencyError(
-            f"{doc.doc_id}: confidence {level!r} of {rec.annotator}'s "
-            f"{spec.name} answer on {rec.element} is not an integer in 1..5")
-    if ridit is not None and (type(ridit) not in (int, float)
-                              or not 0.0 <= ridit <= 1.0):
-        raise ConsistencyError(
-            f"{doc.doc_id}: ridit confidence {ridit!r} of {rec.annotator}'s "
-            f"{spec.name} answer on {rec.element} is not a number in [0, 1]")
-    v = rec.value
+def _value_rule(spec) -> tuple:
+    """(JSON type, least, greatest) of a property's answers; all None for a
+    temporal tuple, which _check_span checks."""
     if spec.response == BINARY:
-        ok = isinstance(v, bool)
-    elif spec.response == CATEGORICAL:
-        ok = isinstance(v, int) and not isinstance(v, bool) \
-            and 0 <= v < spec.n_categories
-    elif spec.response == ORDINAL:
-        ok = isinstance(v, int) and not isinstance(v, bool) \
-            and 1 <= v <= spec.n_levels
-    elif spec.response == TEMPORAL:
-        ok = isinstance(v, (list, tuple)) and len(v) == 4 \
+        return bool, False, True
+    if spec.response == CATEGORICAL:
+        return int, 0, spec.n_categories - 1
+    if spec.response == ORDINAL:
+        return int, 1, spec.n_levels
+    return None, None, None
+
+
+def _bad_answer(doc, spec, rec, what, value, rule) -> CorpusError:
+    return ConsistencyError(
+        f"{doc.doc_id}: {what} {value!r} of {rec.annotator}'s {spec.name} "
+        f"answer on {rec.element} is not {rule}")
+
+
+def _bad_value(doc, spec, value) -> CorpusError:
+    return SchemaError(f"{doc.doc_id}: value {value!r} does not match "
+                       f"{spec.response} property {spec.name}")
+
+
+def _check_span(doc: DocumentGraph, spec, rec: AnnotationRecord) -> None:
+    """A temporal answer: four finite numbers that normalize."""
+    v = rec.value
+    if not (isinstance(v, (list, tuple)) and len(v) == 4
             and all(isinstance(x, (int, float)) and math.isfinite(x)
-                    for x in v)
-    else:  # pragma: no cover
-        ok = False
-    if not ok:
-        raise SchemaError(
-            f"{doc.doc_id}: value {v!r} does not match {spec.response} "
-            f"property {spec.name}")
-    if spec.response == TEMPORAL:
-        try:
-            normalize_temporal(v)
-        except DegenerateSpanError as exc:
-            raise ConsistencyError(
-                f"{doc.doc_id}: {spec.name} answer by {rec.annotator} on "
-                f"{rec.element}: {exc}") from exc
+                    for x in v)):
+        raise _bad_value(doc, spec, v)
+    try:
+        normalize_temporal(v)
+    except DegenerateSpanError as exc:
+        raise ConsistencyError(
+            f"{doc.doc_id}: {spec.name} answer by {rec.annotator} on "
+            f"{rec.element}: {exc}") from exc
 
 
 def load_corpus(path, schema: Schema,

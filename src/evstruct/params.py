@@ -307,70 +307,94 @@ def build_obs(corpus: list[DocumentGraph], schema: Schema,
     who answered a gated property's parent away from the gate; each row
     carries its confidence weight (the gate parent's for absent rows).
     Every parameter block of a property gets one term, with no rows where
-    nothing was observed for it."""
+    nothing was observed for it.  Rows follow documents, element ids and
+    records, an element's absent rows last; annotators are numbered so."""
     elements: dict[str, list[tuple[int, str]]] = {
         "event": [], "entity": [], "role": [], "rel": []}
-    ann_index: dict[str, int] = {}     # numbered in order of appearance
-    # per property: element, annotator, present, value and weight columns
-    cols: dict[str, tuple[list, ...]] = {
-        p.name: ([], [], [], [], []) for p in schema}
-
-    def add_row(name, e, rec, present):
-        """One row of property name; an absent row carries the record of
-        its gate parent, whose annotator and weight it takes."""
-        if confidence_weighting and rec.ridit_confidence is None:
-            raise ValueError(
-                f"annotation {rec.property} on {rec.element} lacks a ridit "
-                f"confidence; ridit score the corpus first")
-        row = (e, ann_index.setdefault(rec.annotator, len(ann_index)),
-               present, rec.value if present else None,
-               float(rec.ridit_confidence) if confidence_weighting else 1.0)
-        for col, value in zip(cols[name], row):
-            col.append(value)
-
-    gated = [spec for spec in schema if spec.gated]
+    # each annotated element's code, its place in that order; per code,
+    # its row in its kind's registry, and per record, its element's code
+    elem_row, codes, records = [], [], []
+    unknown = {}                    # code -> document lacking the element
     for doc_i, doc in enumerate(corpus):
         kinds = doc.element_kinds()
-        by_element = doc.annotations_by_element()
-        for element, records in sorted(by_element.items()):
-            if element not in kinds:
-                raise ConsistencyError(
-                    f"{doc.doc_id}: annotation on element {element!r} which "
-                    f"is not an element of the document")
-            kind = GROUP_FOR_ATTACH[kinds[element]]
-            e = len(elements[kind])
-            elements[kind].append((doc_i, element))
-            by_prop: dict[str, list] = {}
-            for rec in records:
-                by_prop.setdefault(rec.property, []).append(rec)
-                add_row(schema[rec.property].name, e, rec, True)
-            for spec in gated:
-                parent_name, gate_value = spec.gate
-                answered = {r.annotator for r in by_prop.get(spec.name, ())}
-                for parent in by_prop.get(parent_name, ()):
-                    if (bool(parent.value) != gate_value
-                            and parent.annotator not in answered):
-                        add_row(spec.name, e, parent, False)
+        ids = [rec.element for rec in doc.annotations]
+        code_of = {}
+        for element in sorted(set(ids)):
+            code_of[element] = len(elem_row)
+            kind = kinds.get(element)
+            if kind is None:
+                unknown[len(elem_row)] = doc
+                elem_row.append(-1)
+                continue
+            registry = elements[GROUP_FOR_ATTACH[kind]]
+            elem_row.append(len(registry))
+            registry.append((doc_i, element))
+        codes += map(code_of.__getitem__, ids)
+        records += doc.annotations
 
+    code = np.fromiter(codes, dtype=int)
+    order = np.argsort(code, kind="stable")
+    prop_of = {spec.name: i for i, spec in enumerate(schema)}
+    props = list(map(prop_of.get, [r.property for r in records]))
+    # a missing ridit confidence reads NaN
+    weight = (np.array([r.ridit_confidence for r in records], dtype=float)
+              if confidence_weighting else np.ones(len(records)))
+    if unknown or None in props or np.isnan(weight).any():
+        # the first record in row order on an element its document lacks,
+        # of a property the schema lacks, or lacking a ridit confidence
+        for i in order.tolist():
+            rec, doc = records[i], unknown.get(int(code[i]))
+            if doc is not None:
+                raise ConsistencyError(
+                    f"{doc.doc_id}: annotation on element {rec.element!r} "
+                    f"which is not an element of the document")
+            schema[rec.property]            # SchemaError if unknown
+            if confidence_weighting and rec.ridit_confidence is None:
+                raise ValueError(
+                    f"annotation {rec.property} on {rec.element} lacks a "
+                    f"ridit confidence; ridit score the corpus first")
+    prop = np.fromiter(props, dtype=int)
+    names = [r.annotator for r in records]
+    ann_names = list(dict.fromkeys(map(names.__getitem__, order.tolist())))
+    ann = np.fromiter(map({a: i for i, a in enumerate(ann_names)}.__getitem__,
+                          names), dtype=int)
+    elem_row = np.array(elem_row, dtype=int)
+
+    # each property's answers in row order, and their base-term outcomes
+    by_prop = np.lexsort((code, prop))
+    bounds = np.searchsorted(prop[by_prop], np.arange(len(prop_of) + 1))
+    answers, base = {}, {}
+    for spec, start, end in zip(schema, bounds, bounds[1:]):
+        answers[spec.name] = rows = by_prop[start:end]
+        base[spec.name] = _base_terms(
+            spec, [records[i].value for i in rows.tolist()])
+
+    keys = code * len(ann_names) + ann      # (element, annotator)
     tables = {}
     for spec in schema:
-        elem, ann, present, values, weight = cols[spec.name]
-        elem, ann, present, weight = (
-            np.array(col, dtype=dtype) for col, dtype in (
-                (elem, int), (ann, int), (present, bool), (weight, float)))
-        terms = []
+        rows = answers[spec.name]
+        present = np.ones(len(rows), dtype=bool)
         if spec.gated:
-            terms.append(Term("gate_", _binary_table, 2, np.arange(len(elem)),
-                              ann, present.astype(int)))
+            # the gate parent's answers away from the gate, by annotators
+            # who did not answer this property on that element, each
+            # element's after its answers
+            parent_name, gate_value = spec.gate
+            away = answers[parent_name][base[parent_name][0][3] != gate_value]
+            absent = away[~np.isin(keys[away], keys[rows])]
+            rows = np.concatenate([rows, absent])
+            sort = np.argsort(code[rows], kind="stable")
+            rows, present = rows[sort], sort < len(present)
+        ann_t = ann[rows]
+        terms = [Term("gate_", _binary_table, 2, np.arange(len(rows)), ann_t,
+                      present.astype(int))] if spec.gated else []
         sel = np.flatnonzero(present)
-        for prefix, family, n_out, out in _base_terms(
-                spec, [values[i] for i in sel]):
+        for prefix, family, n_out, out in base[spec.name]:
             rows_t = sel[out >= 0]
-            terms.append(Term(prefix, family, n_out, rows_t, ann[rows_t],
+            terms.append(Term(prefix, family, n_out, rows_t, ann_t[rows_t],
                               out[out >= 0]))
-        tables[spec.name] = PropTable(spec.name, spec, elem, present, weight,
-                                      terms)
-    return ObsIndex(elements, tables, list(ann_index))
+        tables[spec.name] = PropTable(spec.name, spec, elem_row[code[rows]],
+                                      present, weight[rows], terms)
+    return ObsIndex(elements, tables, ann_names)
 
 
 @dataclass
