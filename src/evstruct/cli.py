@@ -308,6 +308,14 @@ def _load_checkpoint(path, schema):
     return params
 
 
+def _dev_fraction(opts):
+    fraction = opts("dev-fraction")
+    if not 0 < fraction < 1:                        # NaN fails too
+        raise CliError(f"--dev-fraction must be in (0, 1), got {fraction}",
+                       EXIT_USAGE)
+    return fraction
+
+
 def _split(docs, dev_fraction):
     n_dev = max(1, int(round(len(docs) * dev_fraction)))
     if n_dev >= len(docs):
@@ -362,10 +370,11 @@ def _cmd_ingest(args, opts):
 def _cmd_fit(args, opts):
     fc = opts.build(FitConfig, EM_FLAGS + ("seed", "threads"))
     inv = opts.build(TypeInventory, K_FLAGS)
+    fraction = None if args.dev else _dev_fraction(opts)
     schema = _schema(opts)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
     train, dev = ((docs, _load_prepared(args.dev, schema, window=fc.window))
-                  if args.dev else _split(docs, opts("dev-fraction")))
+                  if args.dev else _split(docs, fraction))
     result = fit(train, dev, inv, schema, fc)
     save_params(result.params, os.path.join(args.out, "checkpoint.json"))
     _dump_json({"train_evidence": result.train_evidence,
@@ -391,9 +400,10 @@ def _cmd_select_k(args, opts):
     opts.read["level"] = sc.level
     candidates = opts("candidates")
     _from_flags(check_candidates, candidates)
+    fraction = _dev_fraction(opts)
     schema = _schema(opts)
     docs = _load_prepared(args.corpus, schema)
-    train, dev = _split(docs, opts("dev-fraction"))
+    train, dev = _split(docs, fraction)
     report = select_k(train, dev, opts("kind"), candidates, schema, sc)
     _dump_json(report.to_obj(), os.path.join(args.out, "selection.json"))
     with open(os.path.join(args.out, "selection.txt"), "w") as fh:

@@ -229,18 +229,30 @@ class DocumentGraph:
     @staticmethod
     def from_obj(obj: dict) -> "DocumentGraph":
         sentences = []
-        for i, s in enumerate(obj["sentences"]):
-            preds = tuple(_node_from_obj(n, "predicate", i) for n in s["predicates"])
-            args = tuple(_node_from_obj(n, "argument", i) for n in s["arguments"])
-            edges = tuple((e[0], e[1]) for e in s["edges"])
+        for i, s in enumerate(_list(obj, "sentences")):
+            where = f"sentence {i}'s "
+            preds = tuple(_node_from_obj(n, "predicate", i)
+                          for n in _list(s, "predicates", where))
+            args = tuple(_node_from_obj(n, "argument", i)
+                         for n in _list(s, "arguments", where))
+            edges = tuple((e[0], e[1]) for e in _list(s, "edges", where))
             sentences.append(Sentence(preds, args, edges))
         return DocumentGraph(
             doc_id=obj["id"],
             sentences=sentences,
-            doc_edges=[(e[0], e[1]) for e in obj["doc_edges"]],
+            doc_edges=[(e[0], e[1]) for e in _list(obj, "doc_edges")],
             annotations=list(map(AnnotationRecord.from_obj,
-                                 obj["annotations"])),
+                                 _list(obj, "annotations"))),
         )
+
+
+def _list(obj: dict, key: str, where: str = "") -> list:
+    """obj[key], which must be a JSON list: iterating an object or a string
+    instead would drop or garble its entries."""
+    value = obj[key]
+    if type(value) is not list:
+        raise TypeError(f"{where}{key} is not a JSON list")
+    return value
 
 
 def _node_obj(n: Node) -> dict:

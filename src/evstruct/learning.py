@@ -50,8 +50,9 @@ class FitConfig:
     threads: int = 1             # accepted for compatibility; no effect
 
     def __post_init__(self):
-        if self.adam_lr <= 0:
-            raise ValueError(f"adam_lr must be positive, got {self.adam_lr}")
+        if not 0 < self.adam_lr < float("inf"):     # NaN fails too
+            raise ValueError(
+                f"adam_lr must be positive and finite, got {self.adam_lr}")
         for name in ("window", "max_em_iters", "bp_max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(

@@ -821,4 +821,8 @@ def save_params(params: ModelParams, path) -> None:
 
 def load_params(path) -> ModelParams:
     with open(path) as fh:
-        return params_from_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"not valid JSON: {exc}") from None
+    return params_from_obj(obj)

@@ -184,7 +184,11 @@ class Schema:
     @staticmethod
     def load(path) -> "Schema":
         with open(path) as fh:
-            return Schema.from_obj(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"not valid JSON: {exc}") from None
+        return Schema.from_obj(obj)
 
 
 def default_schema() -> Schema:
