@@ -333,7 +333,6 @@ def build_obs(corpus: list[DocumentGraph], schema: Schema,
         records += doc.annotations
 
     code = np.fromiter(codes, dtype=int)
-    order = np.argsort(code, kind="stable")
     prop_of = {spec.name: i for i, spec in enumerate(schema)}
     props = list(map(prop_of.get, [r.property for r in records]))
     # a missing ridit confidence reads NaN
@@ -342,7 +341,7 @@ def build_obs(corpus: list[DocumentGraph], schema: Schema,
     if unknown or None in props or np.isnan(weight).any():
         # the first record in row order on an element its document lacks,
         # of a property the schema lacks, or lacking a ridit confidence
-        for i in order.tolist():
+        for i in np.argsort(code, kind="stable").tolist():
             rec, doc = records[i], unknown.get(int(code[i]))
             if doc is not None:
                 raise ConsistencyError(
@@ -355,9 +354,15 @@ def build_obs(corpus: list[DocumentGraph], schema: Schema,
                     f"ridit confidence; ridit score the corpus first")
     prop = np.fromiter(props, dtype=int)
     names = [r.annotator for r in records]
-    ann_names = list(dict.fromkeys(map(names.__getitem__, order.tolist())))
-    ann = np.fromiter(map({a: i for i, a in enumerate(ann_names)}.__getitem__,
+    seen = list(dict.fromkeys(names))
+    ann = np.fromiter(map({a: i for i, a in enumerate(seen)}.__getitem__,
                           names), dtype=int)
+    # renumbered by first appearance in row order, by element code and then
+    # record order
+    first = np.full(len(seen), np.iinfo(int).max)
+    np.minimum.at(first, ann, code * len(records) + np.arange(len(records)))
+    by_first = np.argsort(first)
+    ann_names, ann = [seen[i] for i in by_first], np.argsort(by_first)[ann]
     elem_row = np.array(elem_row, dtype=int)
 
     # each property's answers in row order, and their base-term outcomes
