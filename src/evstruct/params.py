@@ -308,7 +308,8 @@ def build_obs(corpus: list[DocumentGraph], schema: Schema,
     carries its confidence weight (the gate parent's for absent rows).
     Every parameter block of a property gets one term, with no rows where
     nothing was observed for it.  Rows follow documents, element ids and
-    records, an element's absent rows last; annotators are numbered so."""
+    records, an element's absent rows last; annotators are numbered in
+    the order of their first rows."""
     elements: dict[str, list[tuple[int, str]]] = {
         "event": [], "entity": [], "role": [], "rel": []}
     # each annotated element's code, its place in that order; per code,
@@ -357,8 +358,7 @@ def build_obs(corpus: list[DocumentGraph], schema: Schema,
     seen = list(dict.fromkeys(names))
     ann = np.fromiter(map({a: i for i, a in enumerate(seen)}.__getitem__,
                           names), dtype=int)
-    # renumbered by first appearance in row order, by element code and then
-    # record order
+    # renumbered by first row: the least (element code, record) of each
     first = np.full(len(seen), np.iinfo(int).max)
     np.minimum.at(first, ann, code * len(records) + np.arange(len(records)))
     by_first = np.argsort(first)
