@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Union
 
 from .schema import (
     ARGUMENT_NODE, BINARY, CATEGORICAL, DOCUMENT_EDGE, EVENTIVE_SUPERSENSES,
-    ORDINAL, PRED_ARG_EDGE, PREDICATE_NODE, TEMPORAL, Schema, SchemaError,
+    ORDINAL, PRED_ARG_EDGE, PREDICATE_NODE, Schema, SchemaError,
 )
 
 LOCK_TOLERANCE = 1e-6  # coincidence tolerance on the normalized time scale
@@ -323,6 +323,7 @@ def validate_document(doc: DocumentGraph, schema: Schema,
 
     kinds = doc.element_kinds()
     rules = {spec.name: (spec, *_value_rule(spec)) for spec in schema}
+    lowest, highest = CONFIDENCE_LEVELS[0], CONFIDENCE_LEVELS[-1]
     answers: dict[tuple[str, str, str], AnnotationRecord] = {}
     gated = []
     for rec in doc.annotations:
@@ -349,7 +350,7 @@ def validate_document(doc: DocumentGraph, schema: Schema,
                 f"{spec.attaches_to}, not {kind}")
         level, ridit, v = rec.raw_confidence, rec.ridit_confidence, rec.value
         # type, not isinstance: a bool is not a number here
-        if type(level) is not int or not 1 <= level <= 5:  # CONFIDENCE_LEVELS
+        if type(level) is not int or not lowest <= level <= highest:
             raise _bad_answer(doc, spec, rec, "confidence", level,
                               "an integer in 1..5")
         if ridit is not None and (type(ridit) not in (int, float)
