@@ -223,7 +223,7 @@ def fault_message(fn):
 @pytest.mark.parametrize("faults", [
     ("ridit",), ("element",), ("property",), ("ridit", "element"),
     ("element", "ridit"), ("property", "ridit"), ("ridit", "property"),
-])
+], ids="-".join)
 def test_first_fault_in_row_order(faults):
     """Faulty records planted in two documents: the one first in row order
     is reported, with the reference's error and message."""
