@@ -33,7 +33,8 @@ from .corpus import CorpusError, load_corpus, prepare_corpus, save_corpus
 from .factorgraph import NumericalError
 from .learning import FitConfig, build_obs, e_step, fit
 from .params import (
-    CheckpointError, TypeInventory, check_params, load_params, save_params,
+    CheckpointError, TypeInventory, check_params, in_range, load_params,
+    save_params,
 )
 from .schema import Schema, SchemaError, default_schema
 from .selection import SelectionConfig, check_candidates, select_k
@@ -68,6 +69,7 @@ class Option:
     field: str | None = None      # the config dataclass field, if not NAME's
     required: bool = False
     path: bool = False            # an input file, digested in the manifest
+    range: str | None = None      # the rule a value must satisfy (in_range)
 
 
 KINDS = ("event", "entity", "role", "rel")
@@ -76,7 +78,7 @@ BUILTIN_SCHEMAS = {"default": default_schema, "flat": flat_schema}
 OPTIONS = {
     "out": Option(required=True, help="output directory"),
     "config": Option(help="JSON config file"),
-    "seed": Option(int, 0),
+    "seed": Option(int, 0, range=">= 0"),
     "threads": Option(int, 1, help="accepted for compatibility; no effect"),
     "schema": Option(str, "default", help="schema file, 'default', or 'flat'"),
     # input files
@@ -101,7 +103,7 @@ OPTIONS = {
     "k-entity": Option(int, 8),
     "k-role": Option(int, 2),
     "k-rel": Option(int, 5),
-    "dev-fraction": Option(float, 0.2),
+    "dev-fraction": Option(float, 0.2, range="in (0, 1)"),
     # synth
     "docs": Option(int, 10, field="n_docs"),
     "sentences": Option(int, 2, field="sentences_per_doc"),
@@ -119,7 +121,8 @@ OPTIONS = {
     "restarts": Option(int, 5),
     "mixture-em-iters": Option(int, 30, field="em_iters"),
     "bootstrap-samples": Option(int, 1000),
-    "na-threshold": Option(float, analysis.DEFAULT_NA_THRESHOLD),
+    "na-threshold": Option(float, analysis.DEFAULT_NA_THRESHOLD,
+                           range="in [0, 1]"),
     "metric": Option(str, "nominal", choices=("nominal", "ordinal",
                                               "ordinal-ranks")),
     "thresholds": Option(items=float, help="comma-separated ridit thresholds"),
@@ -187,6 +190,9 @@ class Options:
                 raise CliError(f"--{name} {value!r}: expected comma-separated"
                                f" {opt.items.__name__} values",
                                EXIT_USAGE) from None
+        if opt.range and not in_range(value, opt.range):
+            raise CliError(f"--{name} must be {opt.range}, got {value}",
+                           EXIT_USAGE)
         if opt.type is bool and name.startswith("no-"):
             name, value = name[3:], not value
         self.read[name] = value
@@ -308,14 +314,6 @@ def _load_checkpoint(path, schema):
     return params
 
 
-def _dev_fraction(opts):
-    fraction = opts("dev-fraction")
-    if not 0 < fraction < 1:                        # NaN fails too
-        raise CliError(f"--dev-fraction must be in (0, 1), got {fraction}",
-                       EXIT_USAGE)
-    return fraction
-
-
 def _split(docs, dev_fraction):
     n_dev = max(1, int(round(len(docs) * dev_fraction)))
     if n_dev >= len(docs):
@@ -370,7 +368,7 @@ def _cmd_ingest(args, opts):
 def _cmd_fit(args, opts):
     fc = opts.build(FitConfig, EM_FLAGS + ("seed", "threads"))
     inv = opts.build(TypeInventory, K_FLAGS)
-    fraction = None if args.dev else _dev_fraction(opts)
+    fraction = None if args.dev else opts("dev-fraction")
     schema = _schema(opts)
     docs = _load_prepared(args.corpus, schema, window=fc.window)
     train, dev = ((docs, _load_prepared(args.dev, schema, window=fc.window))
@@ -400,7 +398,7 @@ def _cmd_select_k(args, opts):
     opts.read["level"] = sc.level
     candidates = opts("candidates")
     _from_flags(check_candidates, candidates)
-    fraction = _dev_fraction(opts)
+    fraction = opts("dev-fraction")
     schema = _schema(opts)
     docs = _load_prepared(args.corpus, schema)
     train, dev = _split(docs, fraction)

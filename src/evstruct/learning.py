@@ -23,9 +23,9 @@ from . import likelihoods as lk
 from .corpus import DocumentGraph
 from .factorgraph import PosteriorSet, compile_corpus
 from .params import (  # noqa: F401  (re-exports for callers and tests)
-    ModelParams, ObsIndex, OrdinalParams, PriorParams, PropTable, Term,
-    TypeInventory, _Pack, _block, _leaves, _packs_from_params, _padded_packs,
-    build_obs, init_params, item_logliks,
+    ModelParams, ObsIndex, OrdinalParams, PriorParams, PropTable, Ranged,
+    Term, TypeInventory, _Pack, _block, _leaves, _packs_from_params,
+    _padded_packs, build_obs, init_params, item_logliks, setting,
 )
 from .schema import Schema
 
@@ -33,37 +33,22 @@ _THETA_FLOOR = 1e-10
 
 
 @dataclass
-class FitConfig:
-    window: int = 2
-    max_em_iters: int = 20
-    adam_lr: float = 0.05
+class FitConfig(Ranged):
+    window: int = setting(">= 1", 2)
+    max_em_iters: int = setting(">= 1", 20)
+    adam_lr: float = setting("in (0, inf)", 0.05)
     # Adam's decay rates and epsilon are fixed: class constants
     adam_beta1: ClassVar[float] = 0.9
     adam_beta2: ClassVar[float] = 0.999
     adam_eps: ClassVar[float] = 1e-8
-    m_step_iters: int = 200
-    bp_max_iters: int = 200
-    bp_damping: float = 0.1
-    seed: int = 0
+    m_step_iters: int = setting(">= 0", 200)
+    bp_max_iters: int = setting(">= 1", 200)
+    # a damping of 1 keeps every message at its start: uniform output
+    bp_damping: float = setting("in [0, 1)", 0.1)
+    seed: int = setting(">= 0", 0)
     confidence_weighting: bool = True
     learn_rho: bool = True
     threads: int = 1             # accepted for compatibility; no effect
-
-    def __post_init__(self):
-        if not 0 < self.adam_lr < float("inf"):     # NaN fails too
-            raise ValueError(
-                f"adam_lr must be positive and finite, got {self.adam_lr}")
-        for name in ("window", "max_em_iters", "bp_max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
-        # a damping of 1 keeps every message at its start: uniform output
-        if not 0 <= self.bp_damping < 1:
-            raise ValueError(
-                f"bp_damping must be in [0, 1), got {self.bp_damping}")
-        if self.m_step_iters < 0:
-            raise ValueError(
-                f"m_step_iters must be >= 0, got {self.m_step_iters}")
 
 
 @dataclass

@@ -10,7 +10,7 @@ stored blockwise by the kind of the earlier endpoint (REL_TABLE).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 import json
 from typing import Union, get_origin, get_type_hints
 
@@ -43,17 +43,38 @@ class CheckpointError(ValueError):
     """A checkpoint that is malformed or does not fit the schema."""
 
 
-@dataclass(frozen=True)
-class TypeInventory:
-    k_event: int
-    k_entity: int
-    k_role: int
-    k_rel: int
+def setting(rule: str, default=MISSING):
+    """A dataclass field whose values must satisfy rule (see in_range)."""
+    return field(default=default, metadata={"range": rule})
+
+
+def in_range(value, rule: str) -> bool:
+    """Whether value satisfies rule: ">= lo", or "in" an interval such as
+    "[0, 1)" whose square brackets include their ends.  NaN satisfies none."""
+    if rule.startswith(">= "):
+        return value >= float(rule[3:])
+    lo, hi = map(float, rule[4:-1].split(", "))
+    return ((lo <= value) if rule[3] == "[" else (lo < value)) and (
+        (value <= hi) if rule[-1] == "]" else (value < hi))
+
+
+class Ranged:
+    """A dataclass base: construction rejects the first field value outside
+    the range its setting declares."""
 
     def __post_init__(self):
-        for name, k in vars(self).items():
-            if k < 1:
-                raise ValueError(f"{name} must be >= 1, got {k}")
+        for f in fields(self):
+            rule, value = f.metadata.get("range"), getattr(self, f.name)
+            if rule and not in_range(value, rule):
+                raise ValueError(f"{f.name} must be {rule}, got {value}")
+
+
+@dataclass(frozen=True)
+class TypeInventory(Ranged):
+    k_event: int = setting(">= 1")
+    k_entity: int = setting(">= 1")
+    k_role: int = setting(">= 1")
+    k_rel: int = setting(">= 1")
 
     def k_for(self, group: str) -> int:
         return {"event": self.k_event, "entity": self.k_entity,

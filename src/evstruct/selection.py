@@ -16,8 +16,8 @@ from .corpus import DocumentGraph
 from .learning import FitConfig, _MStep
 from .likelihoods import logsumexp
 from .params import (
-    ModelParams, ObsIndex, TypeInventory, _Pack, _padded_packs, build_obs,
-    init_params, item_logliks,
+    ModelParams, ObsIndex, Ranged, TypeInventory, _Pack, _padded_packs,
+    build_obs, init_params, item_logliks, setting,
 )
 from .schema import Schema
 
@@ -26,23 +26,13 @@ MIN_BOOTSTRAP = 1000
 
 
 @dataclass
-class SelectionConfig:
-    restarts: int = 5
-    em_iters: int = 30
-    bootstrap_samples: int = 1000
-    level: float = 0.95
-    seed: int = 0
+class SelectionConfig(Ranged):
+    restarts: int = setting(">= 1", 5)
+    em_iters: int = setting(">= 1", 30)
+    bootstrap_samples: int = setting(f">= {MIN_BOOTSTRAP}", 1000)
+    level: float = setting("in (0, 1)", 0.95)
+    seed: int = setting(">= 0", 0)
     fit: FitConfig = field(default_factory=FitConfig)
-
-    def __post_init__(self):
-        if self.restarts < 1 or self.em_iters < 1:
-            raise ValueError(f"restarts and em_iters must be positive, got "
-                             f"{self.restarts} and {self.em_iters}")
-        if self.bootstrap_samples < MIN_BOOTSTRAP:
-            raise ValueError(f"bootstrap_samples must be >= {MIN_BOOTSTRAP}, "
-                             f"got {self.bootstrap_samples}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
 
 
 @dataclass

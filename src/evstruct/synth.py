@@ -20,8 +20,8 @@ from .corpus import (
 )
 from .factorgraph import window_pairs
 from .params import (
-    REL_TABLE, ModelParams, TemporalParams, TypeInventory, _leaves,
-    init_params,
+    REL_TABLE, ModelParams, Ranged, TemporalParams, TypeInventory, _leaves,
+    init_params, setting,
 )
 from .schema import (
     BINARY, CATEGORICAL, GROUP_FOR_ATTACH, ORDINAL, TEMPORAL, Schema,
@@ -30,24 +30,27 @@ from .schema import (
 
 
 @dataclass
-class SynthConfig:
+class SynthConfig(Ranged):
     inventory: TypeInventory
     schema: Schema = field(default_factory=default_schema)
     params: Optional[ModelParams] = None   # drawn when absent
-    n_docs: int = 10
-    sentences_per_doc: int = 2
-    predicates_per_sentence: int = 1
-    arguments_per_predicate: int = 1
-    eventive_prob: float = 0.0
-    n_annotators: int = 3
-    annotators_per_item: int = 1
-    window: int = 2
-    seed: int = 0
-    separation: float = 2.0       # logit scale of the drawn true means
-    sigma_ann: float = 0.0        # sd of drawn annotator intercepts
+    n_docs: int = setting(">= 1", 10)
+    sentences_per_doc: int = setting(">= 1", 2)
+    predicates_per_sentence: int = setting(">= 1", 1)
+    arguments_per_predicate: int = setting(">= 0", 1)
+    eventive_prob: float = setting("in [0, 1]", 0.0)
+    n_annotators: int = setting(">= 1", 3)
+    annotators_per_item: int = setting(">= 1", 1)
+    window: int = setting(">= 1", 2)
+    seed: int = setting(">= 0", 0)
+    # logit scale of the drawn true means
+    separation: float = setting("in [0, inf)", 2.0)
+    # sd of drawn annotator intercepts
+    sigma_ann: float = setting("in [0, inf)", 0.0)
     confidence_levels: Optional[list[float]] = None  # probs over 1..5
 
     def __post_init__(self):
+        super().__post_init__()
         if self.annotators_per_item > self.n_annotators:
             raise ValueError(f"annotators_per_item {self.annotators_per_item}"
                              f" exceeds the pool size {self.n_annotators}")
