@@ -11,15 +11,13 @@ from . import likelihoods as lk
 from .corpus import DocumentGraph, edge_id
 from .factorgraph import PosteriorSet
 from .params import HurdleParams, ModelParams, TemporalParams
-from .schema import BINARY, Schema
+from .schema import BINARY, GROUPS, Schema
 
 NA = "n/a"
 
 # a conditional property "generally does not apply" to a type when the
 # fitted gate probability of the revealing branch falls below this
 DEFAULT_NA_THRESHOLD = 0.25
-
-GROUPS = ("event", "entity", "role", "rel")
 
 
 class AnalysisError(ValueError):

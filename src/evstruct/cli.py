@@ -14,6 +14,7 @@ COMMANDS lists the options each subcommand accepts.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -36,7 +37,7 @@ from .params import (
     CheckpointError, TypeInventory, check_params, in_range, load_params,
     save_params,
 )
-from .schema import Schema, SchemaError, default_schema
+from .schema import GROUPS, Schema, SchemaError, default_schema
 from .selection import SelectionConfig, check_candidates, select_k
 from .synth import SynthConfig, corpus_stats, flat_schema, format_stats, sample_corpus
 
@@ -72,7 +73,6 @@ class Option:
     range: str | None = None      # the rule a value must satisfy (in_range)
 
 
-KINDS = ("event", "entity", "role", "rel")
 BUILTIN_SCHEMAS = {"default": default_schema, "flat": flat_schema}
 
 OPTIONS = {
@@ -115,7 +115,7 @@ OPTIONS = {
     "separation": Option(float, 4.0),
     "sigma-ann": Option(float, 0.0),
     # select-k and analyses
-    "kind": Option(required=True, choices=KINDS),
+    "kind": Option(required=True, choices=GROUPS),
     "candidates": Option(required=True, items=int,
                          help="comma-separated increasing K values"),
     "restarts": Option(int, 5),
@@ -433,7 +433,7 @@ def _cmd_compare_fits(args, opts):
 def _cmd_entropy(args, opts):
     docs, (posts,) = _e_steps(args, opts, args.checkpoint)
     stats = {}
-    for kind in analysis.GROUPS:
+    for kind in GROUPS:
         try:
             mean, median = analysis.entropy_stats(posts, kind)
         except analysis.AnalysisError:
@@ -538,7 +538,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; built once, as parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="evstruct",
         description="Induce event-structure type classifications from "

@@ -235,12 +235,14 @@ class DocumentGraph:
                           for n in _list(s, "predicates", where))
             args = tuple(_node_from_obj(n, "argument", i)
                          for n in _list(s, "arguments", where))
-            edges = tuple((e[0], e[1]) for e in _list(s, "edges", where))
+            edges = tuple(_pair(e, f"{where}edges")
+                          for e in _list(s, "edges", where))
             sentences.append(Sentence(preds, args, edges))
         return DocumentGraph(
             doc_id=obj["id"],
             sentences=sentences,
-            doc_edges=[(e[0], e[1]) for e in _list(obj, "doc_edges")],
+            doc_edges=[_pair(e, "doc_edges")
+                       for e in _list(obj, "doc_edges")],
             annotations=list(map(AnnotationRecord.from_obj,
                                  _list(obj, "annotations"))),
         )
@@ -253,6 +255,13 @@ def _list(obj: dict, key: str, where: str = "") -> list:
     if type(value) is not list:
         raise TypeError(f"{where}{key} is not a JSON list")
     return value
+
+
+def _pair(edge, key: str) -> tuple:
+    """An edge's two endpoints: it must be a JSON list of exactly two."""
+    if type(edge) is not list or len(edge) != 2:
+        raise TypeError(f"{key} entry {edge!r} is not a list of two ids")
+    return edge[0], edge[1]
 
 
 def _node_obj(n: Node) -> dict:

@@ -23,7 +23,7 @@ from .params import (
     PRIOR_TABLES, REL_TABLE, ModelParams, ObsIndex, TypeInventory,
     _packs_from_params, build_obs, item_logliks,
 )
-from .schema import Schema
+from .schema import GROUPS, Schema
 
 _THETA_FLOOR = 1e-12
 
@@ -450,8 +450,7 @@ def compile_corpus(corpus: list[DocumentGraph], inventory: TypeInventory,
     """The compiled graph of a corpus, kept with its observation index obs
     by window and type counts: with the corpus that obs indexes, all that
     the graph depends on."""
-    key = (window, inventory.k_event, inventory.k_entity, inventory.k_role,
-           inventory.k_rel)
+    key = (window, *inventory.shape(GROUPS))
     if key not in obs.graphs:
         obs.graphs[key] = _compile(corpus, inventory, window, obs)
     return obs.graphs[key]

@@ -19,7 +19,7 @@ import numpy as np
 from . import likelihoods as lk
 from .corpus import ConsistencyError, DocumentGraph, normalize_temporal
 from .schema import (
-    BINARY, CATEGORICAL, GROUP_FOR_ATTACH, ORDINAL, TEMPORAL, Schema,
+    BINARY, CATEGORICAL, GROUP_FOR_ATTACH, GROUPS, ORDINAL, TEMPORAL, Schema,
 )
 
 CHECKPOINT_VERSION = 1
@@ -77,8 +77,7 @@ class TypeInventory(Ranged):
     k_rel: int = setting(">= 1")
 
     def k_for(self, group: str) -> int:
-        return {"event": self.k_event, "entity": self.k_entity,
-                "role": self.k_role, "rel": self.k_rel}[group]
+        return getattr(self, f"k_{group}")
 
     def shape(self, groups) -> tuple[int, ...]:
         """The type count of each group: the shape of a table over them."""
@@ -331,8 +330,7 @@ def build_obs(corpus: list[DocumentGraph], schema: Schema,
     nothing was observed for it.  Rows follow documents, element ids and
     records, an element's absent rows last; annotators are numbered in
     the order of their first rows."""
-    elements: dict[str, list[tuple[int, str]]] = {
-        "event": [], "entity": [], "role": [], "rel": []}
+    elements: dict[str, list[tuple[int, str]]] = {g: [] for g in GROUPS}
     # each annotated element's code, its place in that order; per code,
     # its row in its kind's registry, and per record, its element's code
     elem_row, codes, records = [], [], []
@@ -682,11 +680,19 @@ def _value(value, *key: str):
         arr = np.asarray(value)
     except ValueError:              # a ragged list
         arr = None
-    if arr is None or arr.dtype.kind not in "if":
+    # a bool inside a list reads as a number
+    if arr is None or arr.dtype.kind not in "if" or (
+            arr.ndim and _has_bool(value)):
         raise CheckpointError(
             f"checkpoint {'.'.join(key)} is not a number or a list of "
             f"numbers")
     return float(arr) if arr.ndim == 0 else arr.astype(float, copy=False)
+
+
+def _has_bool(value) -> bool:
+    """Whether a (nested) list holds a bool."""
+    return type(value) is bool or (
+        type(value) is list and any(map(_has_bool, value)))
 
 
 def _prop_from_obj(obj: dict, path: str) -> PropParams:
@@ -719,8 +725,7 @@ def params_to_obj(params: ModelParams) -> dict:
         node[key] = _arr(theta)
     return {
         "version": CHECKPOINT_VERSION,
-        "inventory": {"k_event": inv.k_event, "k_entity": inv.k_entity,
-                      "k_role": inv.k_role, "k_rel": inv.k_rel},
+        "inventory": {f"k_{g}": inv.k_for(g) for g in GROUPS},
         "priors": priors,
         "props": {name: _prop_obj(pp)
                   for name, pp in sorted(params.props.items())},
@@ -729,17 +734,21 @@ def params_to_obj(params: ModelParams) -> dict:
 
 
 def params_from_obj(obj: dict) -> ModelParams:
-    if _object(obj, "top level").get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {obj.get('version')}")
+    version = _object(obj, "top level").get("version")
+    # True == 1: the type check keeps a bool out
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
     inv_obj = _get(obj, "", "inventory")
-    counts = {name: _get(inv_obj, "inventory", name) for name in
-              ("k_event", "k_entity", "k_role", "k_rel")}
+    counts = {name: _get(inv_obj, "inventory", name)
+              for name in (f"k_{g}" for g in GROUPS)}
     for name, k in counts.items():
         if not isinstance(k, int) or isinstance(k, bool):
             raise CheckpointError(
                 f"checkpoint inventory.{name} is {k!r}, not an integer")
-    inv = TypeInventory(**counts)
+    try:
+        inv = TypeInventory(**counts)
+    except ValueError as exc:       # a count out of range
+        raise CheckpointError(f"checkpoint inventory.{exc}") from None
     tables = {}
     # older checkpoints also hold an unused entity x entity block: unread
     for name in PRIOR_TABLES:

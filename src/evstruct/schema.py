@@ -26,6 +26,8 @@ GROUP_FOR_ATTACH = {
     PRED_ARG_EDGE: "role",
     DOCUMENT_EDGE: "rel",
 }
+# the classification groups, each with its own type count
+GROUPS = tuple(GROUP_FOR_ATTACH.values())
 
 BINARY = "binary"
 CATEGORICAL = "categorical"

@@ -19,7 +19,7 @@ from .params import (
     ModelParams, ObsIndex, Ranged, TypeInventory, _Pack, _padded_packs,
     build_obs, init_params, item_logliks, setting,
 )
-from .schema import Schema
+from .schema import GROUPS, Schema
 
 THETA_FLOOR = 1e-10
 MIN_BOOTSTRAP = 1000
@@ -106,7 +106,7 @@ def _log_joint(packs: dict[str, _Pack], log_pi: np.ndarray, obs: ObsIndex,
 
 def _inventory_for(kind: str, k: int) -> TypeInventory:
     return TypeInventory(*(k if group == kind else 1
-                           for group in ("event", "entity", "role", "rel")))
+                           for group in GROUPS))
 
 
 def _fit_candidates(obs: ObsIndex, kind: str, candidates: list[int],

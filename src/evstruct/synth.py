@@ -24,8 +24,7 @@ from .params import (
     init_params, setting,
 )
 from .schema import (
-    BINARY, CATEGORICAL, GROUP_FOR_ATTACH, ORDINAL, TEMPORAL, Schema,
-    default_schema,
+    BINARY, CATEGORICAL, GROUPS, ORDINAL, TEMPORAL, Schema, default_schema,
 )
 
 
@@ -97,7 +96,7 @@ def separated_params(schema: Schema, inventory: TypeInventory,
     # possible (maximal minimum pairwise Hamming distance over a few draws)
     prop_col: dict[str, tuple[str, int]] = {}
     sign_mats: dict[str, np.ndarray] = {}
-    for kind in ("event", "entity", "role", "rel"):
+    for kind in GROUPS:
         group = schema.group(kind)
         names = [p.name for p in group if p.response == BINARY]
         if not names:

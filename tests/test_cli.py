@@ -907,3 +907,27 @@ def test_malformed_schema_file_is_data_error(tmp_path, capsys, schema,
         == EXIT_DATA
     err = capsys.readouterr().err
     assert err == f"data error: {path}: {message}\n"
+
+
+def test_usage_error_leaves_next_run_unchanged(tmp_path, capsys):
+    # every run parses with one parser, built once per process
+    data = synth(tmp_path / "data")
+
+    def ingest(*extra):
+        return run(["ingest", "--corpus", str(data / "corpus.jsonl"),
+                    "--schema", "flat", *extra])
+
+    assert ingest("--out", str(tmp_path / "a")) == 0
+    with pytest.raises(SystemExit):
+        ingest("--window", "x", "--out", str(tmp_path / "b"))
+    assert ingest("--window", "0", "--out", str(tmp_path / "b")) \
+        == EXIT_USAGE
+    with pytest.raises(SystemExit):
+        ingest()                                    # no --out
+    assert ingest("--out", str(tmp_path / "c")) == 0
+    assert cli.build_parser() is cli.build_parser()
+    for name in ("corpus.jsonl", "stats.txt"):
+        assert sha256(tmp_path / "a" / name) == sha256(tmp_path / "c" / name)
+    config = [json.loads((tmp_path / d / "manifest.json").read_text())
+              ["config"] for d in "ac"]
+    assert config[0] == config[1]
