@@ -681,8 +681,7 @@ def _value(value, *key: str):
     except ValueError:              # a ragged list
         arr = None
     # a bool inside a list reads as a number
-    if arr is None or arr.dtype.kind not in "if" or (
-            arr.ndim and _has_bool(value)):
+    if arr is None or arr.dtype.kind not in "if" or _has_bool(value):
         raise CheckpointError(
             f"checkpoint {'.'.join(key)} is not a number or a list of "
             f"numbers")

@@ -165,7 +165,7 @@ READS = {
 }
 
 
-def in_range(flag, text):
+def valid(flag, text):
     value = float(text)
     if flag not in FLOATS and not value.is_integer():
         return False
@@ -205,7 +205,7 @@ def test_numeric_option_probe(tmp_path, capsys, command, flag):
                          + [f"--{flag}={value}"])
         err = capsys.readouterr().err
         assert "Traceback" not in err, (value, err)
-        if in_range(flag, value):
+        if valid(flag, value):
             assert code in (0, EXIT_DATA), (value, err)
         else:
             assert code == EXIT_USAGE, (value, err)
@@ -281,14 +281,6 @@ def truth():
     return params_to_obj(params), cfg.schema
 
 
-def set_path(obj, path, value):
-    owner = obj
-    for key in path[:-1]:
-        owner = owner[key]
-    owner[path[-1]] = value
-    return obj
-
-
 @pytest.mark.parametrize("path, message", [
     (("version",), "unsupported checkpoint version True"),
     (("props", "telic", "mu", 0), "checkpoint props.telic.mu is not"),
@@ -299,7 +291,7 @@ def test_checkpoint_bool_is_checkpoint_error(truth, path, message):
     # before, each read as the number 1
     obj = json.loads(json.dumps(truth[0]))
     with pytest.raises(CheckpointError, match=re.escape(message)):
-        check_params(params_from_obj(set_path(obj, path, True)), truth[1])
+        check_params(params_from_obj(mutated(obj, path, True)[0]), truth[1])
 
 
 def test_checkpoint_type_count_names_key(data, tmp_path, capsys):
@@ -322,14 +314,17 @@ REPLACEMENTS = [None, True, 7, -1, 2.5, float("nan"), "x", [], {}, ["x"],
 
 
 def field_paths(obj, path=()):
-    """The path of obj and of every value inside it, a list's first entry
-    standing for all of them."""
+    """The path of obj and of every value inside it; the first entry of a
+    list stands for all of them, unless they are objects, whose fields
+    differ (schema entries)."""
     yield path
     if isinstance(obj, dict):
         for key, value in obj.items():
             yield from field_paths(value, path + (key,))
     elif isinstance(obj, list) and obj:
-        yield from field_paths(obj[0], path + (0,))
+        objects = all(isinstance(v, dict) for v in obj)
+        for i, value in enumerate(obj if objects else obj[:1]):
+            yield from field_paths(value, path + (i,))
 
 
 def mutated(obj, path, value):
@@ -337,17 +332,21 @@ def mutated(obj, path, value):
     function that undoes the change."""
     if not path:
         return (None if value is DELETE else value), lambda: None
+    *outer, key = path
     owner = obj
-    for key in path[:-1]:
-        owner = owner[key]
-    key, old = path[-1], owner[path[-1]]
+    for k in outer:
+        owner = owner[k]
+    old = owner[key]
     if value is DELETE:
         del owner[key]
-        undo = ((lambda: owner.insert(key, old)) if isinstance(owner, list)
-                else (lambda: owner.__setitem__(key, old)))
     else:
         owner[key] = value
-        undo = lambda: owner.__setitem__(key, old)    # noqa: E731
+
+    def undo():
+        if value is DELETE and isinstance(owner, list):
+            owner.insert(key, old)
+        else:
+            owner[key] = old
     return obj, undo
 
 
@@ -367,7 +366,7 @@ def test_single_field_mutations_raise_only_load_errors(truth):
                     load(case)
                 except error:
                     pass
-                except Exception as exc:            # noqa: BLE001
+                except Exception as exc:
                     pytest.fail(f"{path} = {value!r}: {exc!r}")
                 finally:
                     undo()
