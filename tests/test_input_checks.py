@@ -186,6 +186,12 @@ def probe_argv(command, tmp_path):
     return [command, "--out", str(tmp_path / "out")] + inputs[command]
 
 
+def names(err, flag):
+    """Whether err names the flag or the config field it sets."""
+    field = (cli.OPTIONS[flag].field or flag).replace("-", "_")
+    return f"--{flag}" in err or field in err
+
+
 def exit_code(argv):
     try:
         return run(argv)
@@ -199,7 +205,6 @@ def test_numeric_option_probe(tmp_path, capsys, command, flag):
     # before, synth --separation nan wrote NaN parameters, synth --docs -1
     # an empty corpus, summarize --na-threshold 1.5 a summary, and
     # synth or fit --seed -1 exited 3
-    field = (cli.OPTIONS[flag].field or flag).replace("-", "_")
     for value in PROBES:
         code = exit_code(probe_argv(command, tmp_path)
                          + [f"--{flag}={value}"])
@@ -209,7 +214,7 @@ def test_numeric_option_probe(tmp_path, capsys, command, flag):
             assert code in (0, EXIT_DATA), (value, err)
         else:
             assert code == EXIT_USAGE, (value, err)
-            assert f"--{flag}" in err or field in err, (value, err)
+            assert names(err, flag), (value, err)
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -225,8 +230,7 @@ def test_config_value_out_of_range_is_usage_error(tmp_path, capsys, command,
     code = run(probe_argv(command, tmp_path) + ["--config", str(cfg)])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE, err
-    field = (cli.OPTIONS[key].field or key).replace("-", "_")
-    assert f"--{key}" in err or field in err
+    assert names(err, key)
 
 
 # ---------------------------------------------------------------------------
