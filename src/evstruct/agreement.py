@@ -5,16 +5,15 @@ bootstrap intervals over items."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
 
 import numpy as np
 
 NOMINAL = "nominal"
 ORDINAL_METRIC = "ordinal"
-# alternative ordinal distance: squared difference of mean coincidence ranks
-ORDINAL_RANKS = "ordinal-ranks"
 
-METRICS = (NOMINAL, ORDINAL_METRIC, ORDINAL_RANKS)
+METRICS = (NOMINAL, ORDINAL_METRIC)
 
 # fraction of items that must keep >= 2 responses for a thresholded
 # alpha to count as defined
@@ -72,46 +71,55 @@ class ReliabilityMatrix:
         return out
 
 
-def _coincidences(by_item: dict[str, list]):
-    """Coincidence matrix over observed values; returns (values, matrix)."""
-    values = sorted({v for resp in by_item.values() for v in resp},
+def _value_counts(table: ReliabilityMatrix):
+    """(values, counts): the observed values in sorted order, and each
+    item's count of each value, one row per item in sorted order."""
+    items = table.items()
+    values = sorted(set(table.responses.values()),
                     key=lambda v: (str(type(v)), v))
-    index = {v: i for i, v in enumerate(values)}
-    n = len(values)
-    co = np.zeros((n, n))
-    for resp in by_item.values():
-        m = len(resp)
-        if m < 2:
-            continue
-        for i, a in enumerate(resp):
-            for j, b in enumerate(resp):
-                if i != j:
-                    co[index[a], index[b]] += 1.0 / (m - 1)
-    return values, co
+    row = {item: i for i, item in enumerate(items)}
+    col = {v: j for j, v in enumerate(values)}
+    counts = np.zeros((len(items), len(values)))
+    for (item, _), value in table.responses.items():
+        counts[row[item], col[value]] += 1.0
+    return values, counts
 
 
-def _distance_matrix(values, metric: str, margins: np.ndarray) -> np.ndarray:
-    n = len(values)
+def _alpha(values, counts: np.ndarray, metric: str, weights=1.0):
+    """alpha from per-item value counts, each item counted weights times;
+    items with fewer than two responses contribute nothing."""
+    m = counts.sum(axis=1)
+    weights = np.where(m >= 2, weights, 0.0)
+    margins = weights @ counts
+    seen = margins > 0
+    if seen.sum() < 2:
+        # a single value observed: expected disagreement is zero
+        return 1.0 if seen.any() else UNDEFINED
+    counts, margins = counts[:, seen], margins[seen]
+    values = list(compress(values, seen))
+    # each item adds n n^T / (m - 1) less its own pairings on the diagonal
+    scaled = counts * (weights / np.maximum(m - 1.0, 1.0))[:, None]
+    co = counts.T @ scaled - np.diag(scaled.sum(axis=0))
     if metric == NOMINAL:
-        return 1.0 - np.eye(n)
-    if metric == ORDINAL_METRIC:
-        # squared cumulative-margin distance: half of each endpoint's
-        # margin plus every full margin strictly between them
-        levels = np.asarray(values, dtype=float)
-        order = np.argsort(levels)
-        d = np.zeros((n, n))
-        for ai in range(n):
-            for bi in range(ai + 1, n):
-                a, b = order[ai], order[bi]
-                between = margins[order[ai + 1:bi]].sum()
-                dist = (margins[a] + margins[b]) / 2.0 + between
-                d[a, b] = d[b, a] = dist ** 2
-        return d
-    if metric == ORDINAL_RANKS:
-        levels = np.asarray(values, dtype=float)
-        d = (levels[:, None] - levels[None, :]) ** 2
-        return d
-    raise AgreementError(f"unknown metric {metric!r}")
+        dmat = 1.0 - np.eye(len(values))
+    else:
+        # squared difference of mid-ranks: the pooled responses ranked in
+        # level order, each value at the mean rank of its responses
+        order = np.argsort(np.asarray(values, dtype=float))
+        ranks = np.empty(len(values))
+        ranks[order] = np.cumsum(margins[order]) - (margins[order] - 1.0) / 2
+        dmat = (ranks[:, None] - ranks[None, :]) ** 2
+    d_o = float((co * dmat).sum())
+    d_e = float((margins[:, None] * margins[None, :] * dmat).sum()
+                / (margins.sum() - 1.0))
+    if d_e <= 0.0:
+        return UNDEFINED
+    return 1.0 - d_o / d_e
+
+
+def _check_metric(metric: str) -> None:
+    if metric not in METRICS:
+        raise AgreementError(f"unknown metric {metric!r}")
 
 
 def krippendorff_alpha(data: ReliabilityMatrix, metric: str = NOMINAL):
@@ -120,27 +128,8 @@ def krippendorff_alpha(data: ReliabilityMatrix, metric: str = NOMINAL):
     Returns UNDEFINED (None) when there are not enough pairable responses
     or no disagreement is expected at all.
     """
-    if metric not in METRICS:
-        raise AgreementError(f"unknown metric {metric!r}")
-    by_item = data.by_item()
-    pairable = {i: r for i, r in by_item.items() if len(r) >= 2}
-    if len(pairable) < 1:
-        return UNDEFINED
-    values, co = _coincidences(pairable)
-    total = co.sum()
-    if total <= 1 or len(values) < 2:
-        # a single value observed: expected disagreement is zero
-        if len(values) < 2:
-            return UNDEFINED if total <= 0 else 1.0
-        return UNDEFINED
-    margins = co.sum(axis=1)
-    dmat = _distance_matrix(values, metric, margins)
-    d_o = float((co * dmat).sum())
-    d_e = float((margins[:, None] * margins[None, :] * dmat).sum()
-                / (total - 1.0))
-    if d_e <= 0.0:
-        return UNDEFINED
-    return 1.0 - d_o / d_e
+    _check_metric(metric)
+    return _alpha(*_value_counts(data), metric)
 
 
 def krippendorff_alpha_strict(data: ReliabilityMatrix,
@@ -166,21 +155,23 @@ def thresholded_alpha(data: ReliabilityMatrix, thresholds,
     A point's alpha is undefined (None) when fewer than a third of the
     original items keep at least two responses after filtering.
     """
+    _check_metric(metric)
     thresholds = list(thresholds)
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+    # written so that NaN fails both checks
+    if not all(b > a for a, b in zip(thresholds, thresholds[1:])):
         raise AgreementError("thresholds must be strictly increasing")
-    if any(t < 0.0 or t >= 1.0 for t in thresholds):
+    if not all(0.0 <= t < 1.0 for t in thresholds):
         raise AgreementError("thresholds must lie in [0, 1)")
     n_items = len(data.items())
     curve = []
     for t in thresholds:
-        kept = data.filtered(t)
-        retained = sum(1 for r in kept.by_item().values() if len(r) >= 2)
+        values, counts = _value_counts(data.filtered(t))
+        retained = int((counts.sum(axis=1) >= 2).sum())
         coverage = retained / n_items if n_items else 0.0
         if coverage < MIN_ITEM_COVERAGE:
             alpha = UNDEFINED
         else:
-            alpha = krippendorff_alpha(kept, metric)
+            alpha = _alpha(values, counts, metric)
         curve.append(ThresholdPoint(t, alpha, coverage))
     return curve
 
@@ -190,6 +181,7 @@ def pairwise_alpha_vs_panel(panel: ReliabilityMatrix,
                             metric: str = NOMINAL) -> dict[str, object]:
     """Per-individual alpha over the panel's responses plus that
     individual's own responses only."""
+    _check_metric(metric)
     panel_annotators = set(panel.annotators())
     if len(panel_annotators) < 2:
         raise AgreementError("panel needs at least two annotators")
@@ -204,7 +196,7 @@ def pairwise_alpha_vs_panel(panel: ReliabilityMatrix,
                                    dict(panel.confidences))
         for (item, ann), value in table.responses.items():
             merged.add(item, ann, value, table.confidences.get((item, ann)))
-        out[name] = krippendorff_alpha(merged, metric)
+        out[name] = _alpha(*_value_counts(merged), metric)
     return out
 
 
@@ -213,20 +205,16 @@ def bootstrap_alpha_ci(data: ReliabilityMatrix, metric: str = NOMINAL,
                        seed: int = 0):
     """Percentile interval of alpha under item resampling.  Resamples in
     which alpha is undefined are dropped; returns (lo, hi, n_defined)."""
-    items = data.items()
-    by_item: dict[str, list[tuple[str, object, Optional[float]]]] = {}
-    for (item, ann), value in data.responses.items():
-        by_item.setdefault(item, []).append(
-            (ann, value, data.confidences.get((item, ann))))
+    _check_metric(metric)
+    values, counts = _value_counts(data)
+    n_items = len(counts)
     rng = np.random.default_rng(seed)
     stats = []
     for _ in range(n_boot):
-        pick = rng.choice(len(items), size=len(items), replace=True)
-        resampled = ReliabilityMatrix()
-        for copy_i, item_i in enumerate(pick):
-            for ann, value, conf in by_item[items[item_i]]:
-                resampled.add(f"item{copy_i}", ann, value, conf)
-        alpha = krippendorff_alpha(resampled, metric)
+        # a resample counts each item as often as it was drawn
+        pick = rng.choice(n_items, size=n_items, replace=True)
+        alpha = _alpha(values, counts, metric,
+                       np.bincount(pick, minlength=n_items))
         if alpha is not UNDEFINED:
             stats.append(alpha)
     if not stats:

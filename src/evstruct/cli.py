@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from . import analysis
 from .agreement import (
-    AgreementError, ReliabilityMatrix, bootstrap_alpha_ci, krippendorff_alpha,
-    thresholded_alpha,
+    METRICS, AgreementError, ReliabilityMatrix, bootstrap_alpha_ci,
+    krippendorff_alpha, thresholded_alpha,
 )
 from .corpus import CorpusError, load_corpus, prepare_corpus, save_corpus
 from .factorgraph import NumericalError
@@ -123,8 +123,7 @@ OPTIONS = {
     "bootstrap-samples": Option(int, 1000),
     "na-threshold": Option(float, analysis.DEFAULT_NA_THRESHOLD,
                            range="in [0, 1]"),
-    "metric": Option(str, "nominal", choices=("nominal", "ordinal",
-                                              "ordinal-ranks")),
+    "metric": Option(str, "nominal", choices=METRICS),
     "thresholds": Option(items=float, help="comma-separated ridit thresholds"),
     "bootstrap": Option(bool, False),
 }

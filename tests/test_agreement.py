@@ -233,3 +233,86 @@ def test_bootstrap_interval_contains_point():
     lo, hi, n_def = bootstrap_alpha_ci(table, n_boot=1000, seed=2)
     assert lo <= point <= hi
     assert n_def > 900
+
+
+def test_unknown_metric_rejected_before_any_work():
+    # "ordinal-ranks" computed the interval metric under an ordinal name
+    table = from_items({"i1": [1, 2], "i2": [2, 2]}, {"i1": [0.5, 0.5],
+                                                      "i2": [0.5, 0.5]})
+    for call in (lambda m: krippendorff_alpha(table, m),
+                 lambda m: thresholded_alpha(table, [0.9], m),
+                 lambda m: pairwise_alpha_vs_panel(table, {}, m),
+                 lambda m: bootstrap_alpha_ci(table, m, n_boot=10)):
+        with pytest.raises(AgreementError, match="unknown metric"):
+            call("ordinal-ranks")
+
+
+@pytest.mark.parametrize("thresholds, message", [
+    ([float("nan")], "thresholds must lie in"),
+    ([0.2, float("nan"), 0.1], "thresholds must be strictly increasing"),
+    ([0.1, float("nan")], "thresholds must be strictly increasing"),
+])
+def test_nan_threshold_rejected(thresholds, message):
+    table = TestThresholded().make()
+    with pytest.raises(AgreementError, match=message):
+        thresholded_alpha(table, thresholds, "nominal")
+
+
+def reference_bootstrap(data, metric="nominal", n_boot=1000, level=0.95,
+                        seed=0):
+    """bootstrap_alpha_ci as it was: one rebuilt table per resample, each
+    drawn item copied under a fresh item id."""
+    items = data.items()
+    by_item = {}
+    for (item, ann), value in data.responses.items():
+        by_item.setdefault(item, []).append((ann, value))
+    rng = np.random.default_rng(seed)
+    stats = []
+    for _ in range(n_boot):
+        pick = rng.choice(len(items), size=len(items), replace=True)
+        resampled = ReliabilityMatrix()
+        for copy_i, item_i in enumerate(pick):
+            for ann, value in by_item[items[item_i]]:
+                resampled.add(f"item{copy_i}", ann, value)
+        alpha = krippendorff_alpha(resampled, metric)
+        if alpha is not UNDEFINED:
+            stats.append(alpha)
+    if not stats:
+        raise UndefinedAgreementError("alpha undefined in every resample")
+    tail = 100.0 * (1.0 - level) / 2.0
+    lo, hi = np.percentile(stats, [tail, 100.0 - tail])
+    return float(lo), float(hi), len(stats)
+
+
+def _random_items(seed, n_items, max_responses, values):
+    rng = np.random.default_rng(seed)
+    return {f"i{k}": [values[j] for j in rng.integers(
+                0, len(values), size=int(rng.integers(1, max_responses + 1)))]
+            for k in range(n_items)}
+
+
+BOOTSTRAP_TABLES = {
+    # items with a single response carry values no pair sees
+    "single-response-items": ({**_random_items(1, 12, 3, [0, 1, 2]),
+                               "solo": [7]}, "nominal"),
+    "strings": (_random_items(2, 15, 4, ["x", "y", "z"]), "nominal"),
+    "ordinal-levels": (_random_items(3, 20, 4, [1, 2, 3, 4, 5]), "ordinal"),
+    "ordinal-single-responses": (_random_items(4, 10, 2, [1, 3, 4]),
+                                 "ordinal"),
+    # a third of the resamples see one value only, a few no pair at all
+    "one-value-resamples": ({"i0": [1, 1], "i1": [1, 1], "i2": [2, 1],
+                             "i3": [3], "i4": [2]}, "ordinal"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOTSTRAP_TABLES))
+def test_bootstrap_matches_per_resample_reference(name):
+    by_item, metric = BOOTSTRAP_TABLES[name]
+    table = from_items(by_item)
+    for seed in range(3):
+        lo, hi, n_def = bootstrap_alpha_ci(table, metric, n_boot=300,
+                                           seed=seed)
+        ref_lo, ref_hi, ref_def = reference_bootstrap(table, metric,
+                                                      n_boot=300, seed=seed)
+        assert n_def == ref_def
+        assert abs(lo - ref_lo) <= 1e-12 and abs(hi - ref_hi) <= 1e-12
