@@ -123,16 +123,13 @@ def entropy_stats(posteriors: list[PosteriorSet],
                   kind: str) -> tuple[float, float]:
     """(mean, median) normalized posterior entropy for one classification."""
     ents = []
-    for post in posteriors:
-        for var, p in post.marginals.items():
-            if post.kinds[var] != kind:
-                continue
-            k = len(p)
-            if k < 2:
-                ents.append(0.0)
-                continue
-            p = np.clip(p, 1e-300, 1.0)
-            ents.append(float(-(p * np.log(p)).sum() / np.log(k)))
+    for p in _collect_marginals(posteriors, kind).values():
+        k = len(p)
+        if k < 2:
+            ents.append(0.0)
+            continue
+        p = np.clip(p, 1e-300, 1.0)
+        ents.append(float(-(p * np.log(p)).sum() / np.log(k)))
     if not ents:
         raise AnalysisError(f"no {kind} elements in the posterior sets")
     return float(np.mean(ents)), float(np.median(ents))

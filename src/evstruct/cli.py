@@ -27,11 +27,10 @@ import numpy as np
 from . import __version__
 from . import analysis
 from .agreement import (
-    METRICS, AgreementError, ReliabilityMatrix, bootstrap_alpha_ci,
-    krippendorff_alpha, thresholded_alpha,
+    METRICS, ReliabilityMatrix, bootstrap_alpha_ci, krippendorff_alpha,
+    thresholded_alpha,
 )
-from .corpus import CorpusError, load_corpus, prepare_corpus, save_corpus
-from .factorgraph import NumericalError
+from .corpus import load_corpus, prepare_corpus, save_corpus
 from .learning import FitConfig, build_obs, e_step, fit
 from .params import (
     CheckpointError, TypeInventory, check_params, in_range, load_params,
@@ -581,10 +580,10 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     # before ValueError: LinAlgError subclasses it
-    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (CorpusError, SchemaError, AgreementError, ValueError) as exc:
+    except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -284,7 +284,8 @@ def _node_from_obj(obj: dict, kind: str, sentence: int) -> Node:
 def validate_document(doc: DocumentGraph, schema: Schema,
                       window: Optional[int] = None) -> None:
     """Check structural and annotation invariants; raise on violation."""
-    # ids are looked up and joined into element ids, a supersense looked up
+    # ids are looked up and joined into element ids, a supersense looked up,
+    # a span written back to the prepared corpus
     for node in doc.nodes():
         if type(node.node_id) is not str:
             raise ConsistencyError(f"{doc.doc_id}: a {node.kind}'s id "
@@ -293,6 +294,10 @@ def validate_document(doc: DocumentGraph, schema: Schema,
             raise ConsistencyError(
                 f"{doc.doc_id}: {node.kind} {node.node_id}'s supersense "
                 f"{node.supersense!r} is not a string")
+        if node.span is not None and type(node.span) is not str:
+            raise ConsistencyError(
+                f"{doc.doc_id}: {node.kind} {node.node_id}'s span "
+                f"{node.span!r} is not a string")
     for edge in [e for s in doc.sentences for e in s.edges] + doc.doc_edges:
         for end in edge:
             if type(end) is not str:

@@ -768,6 +768,88 @@ def test_non_numeric_confidence_names_file_and_line(tmp_path, capsys):
     assert f"{table}:2: confidence 'high' is not a number" in err
 
 
+ONE_DOCUMENT = json.dumps({
+    "id": "doc0000",
+    "sentences": [{"predicates": [{"id": "d0s0p0"}], "arguments": [],
+                   "edges": []}],
+    "doc_edges": [],
+    "annotations": [{"element": "d0s0p0", "property": "event_prop0",
+                     "annotator": "ann0", "value": False, "confidence": 5}]})
+CONFIDENT_TABLE = "item\tannotator\tvalue\tconfidence\ni0\tx\t1\t0.5\n"
+
+
+@pytest.mark.parametrize("name, text, argv, code, message", [
+    ("resp.tsv", "item\tcoder\tvalue\n", ["agreement", "--table"], EXIT_DATA,
+     "error: {path}: expected columns item, annotator, value[, confidence]"),
+    ("resp.tsv", "item\tannotator\tvalue\ni0\tx\n", ["agreement", "--table"],
+     EXIT_DATA, "error: {path}:2: short row"),
+    ("resp.tsv", CONFIDENT_TABLE,
+     ["agreement", "--thresholds", "nan", "--table"], EXIT_DATA,
+     "data error: thresholds must lie in [0, 1)"),
+    ("resp.tsv", CONFIDENT_TABLE,
+     ["agreement", "--thresholds", "0.2,nan,0.1", "--table"], EXIT_DATA,
+     "data error: thresholds must be strictly increasing"),
+    ("resp.tsv", CONFIDENT_TABLE,
+     ["agreement", "--thresholds", "1.5", "--table"], EXIT_DATA,
+     "data error: thresholds must lie in [0, 1)"),
+    ("corpus.jsonl", ONE_DOCUMENT, ["fit", "--schema", "flat", "--corpus"],
+     EXIT_DATA, "error: dev split would consume the whole corpus"),
+    ("cfg.json", "[1]", ["synth", "--config"], EXIT_USAGE,
+     "error: config file {path} must hold an object"),
+], ids=["table-header", "table-short-row", "threshold-nan",
+        "thresholds-nan-unordered", "threshold-above-range", "one-document",
+        "config-list"])
+def test_bad_input_file_or_value_names_the_problem(tmp_path, capsys, name,
+                                                   text, argv, code, message):
+    path = tmp_path / name
+    path.write_text(text)
+    capsys.readouterr()
+    assert run(argv + [str(path), "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == message.format(path=path) + "\n"
+
+
+def test_ordinal_ranks_metric_is_gone(tmp_path):
+    # it computed the interval metric under an ordinal name
+    table = _agreement_table(tmp_path / "resp.tsv")
+    with pytest.raises(SystemExit) as exc:
+        run(["agreement", "--table", str(table), "--metric", "ordinal-ranks",
+             "--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_fit_and_posteriors_score_a_raw_corpus(tmp_path):
+    # ridit_confidence may be omitted: fit and posteriors score the corpus
+    # as ingest would
+    data = synth(tmp_path / "data")
+    docs = [json.loads(line)
+            for line in (data / "corpus.jsonl").read_text().splitlines()]
+    for doc in docs:
+        for i, ann in enumerate(doc["annotations"]):
+            ann["confidence"] = 1 + i % 5     # so that the scores differ
+            del ann["ridit_confidence"]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    assert run(["ingest", "--corpus", str(raw), "--schema", "flat",
+                "--out", str(tmp_path / "prepared")]) == 0
+    prepared = tmp_path / "prepared" / "corpus.jsonl"
+    assert len({ann["ridit_confidence"]
+                for line in prepared.read_text().splitlines()
+                for ann in json.loads(line)["annotations"]}) > 1
+    flags = ["--schema", "flat", "--em-iters", "2", "--m-step-iters", "3",
+             "--k-event", "2", "--k-entity", "2", "--k-role", "2",
+             "--k-rel", "2"]
+    for name, corpus in (("raw", raw), ("prepared", prepared)):
+        assert run(["fit", "--corpus", str(corpus),
+                    "--out", str(tmp_path / f"fit-{name}")] + flags) == 0
+        assert run(["posteriors", "--corpus", str(corpus), "--checkpoint",
+                    str(tmp_path / "fit-raw" / "checkpoint.json"),
+                    "--out", str(tmp_path / f"post-{name}")] + flags) == 0
+    for out, name in (("fit", "checkpoint.json"), ("fit", "trace.json"),
+                      ("post", "posteriors.json")):
+        assert (tmp_path / f"{out}-raw" / name).read_bytes() \
+            == (tmp_path / f"{out}-prepared" / name).read_bytes()
+
+
 # every flag each subcommand accepts
 COMMON_FLAGS = ["--out", "--config", "--seed", "--threads", "--schema"]
 FIT_FLAGS = ["--window", "--em-iters", "--m-step-iters", "--adam-lr",
@@ -817,8 +899,9 @@ def test_every_subcommand_help(capsys):
     ("predicate", ["x"], "a predicate's id ['x'] is not a string"),
     ("edge", ["x"], "an edge's endpoint ['x'] is not a string"),
     ("supersense", ["event"], "supersense ['event'] is not a string"),
+    ("span", float("nan"), "predicate d0s0p0's span nan is not a string"),
 ], ids=["doc-id-list", "doc-id-number", "predicate-id", "edge",
-        "supersense"])
+        "supersense", "span"])
 @pytest.mark.parametrize("command", ["ingest", "fit"])
 def test_id_or_supersense_not_a_string_is_data_error(tmp_path, capsys,
                                                      command, where, value,
@@ -835,6 +918,8 @@ def test_id_or_supersense_not_a_string_is_data_error(tmp_path, capsys,
         sent["predicates"][0]["id"] = value
     elif where == "edge":
         sent["edges"][0][0] = value
+    elif where == "span":
+        sent["predicates"][0]["span"] = value
     else:
         sent["arguments"][0]["supersense"] = value
     bad = tmp_path / "bad.jsonl"
@@ -849,6 +934,34 @@ def test_id_or_supersense_not_a_string_is_data_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("sentences", 0, "arguments", 0, "id"), "d0s0p0", "duplicate node ids"),
+    (("sentences", 0, "edges", 0), ["d0s0p0", "zz"],
+     "edge d0s0p0->zz references unknown node"),
+    (("sentences", 0, "edges", 0), ["d0s0p0a0", "d0s0p0"],
+     "edge d0s0p0a0->d0s0p0 must join a predicate to an argument"),
+    (("sentences", 0, "edges", 0), ["d0s0p0", "d0s1p0a0"],
+     "edge d0s0p0->d0s1p0a0 crosses sentences"),
+    (("doc_edges",), [["d0s0p0", "zz"]],
+     "document edge d0s0p0--zz references unknown node"),
+], ids=["duplicate-id", "unknown-node", "not-pred-arg", "crosses-sentences",
+        "doc-edge-unknown-node"])
+def test_graph_structure_error_is_data_error(tmp_path, capsys, path, value,
+                                             message):
+    data = synth(tmp_path / "data")
+    lines = (data / "corpus.jsonl").read_text().splitlines()
+    doc = target = json.loads(lines[0])
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert run(["ingest", "--corpus", str(bad), "--schema", "flat",
+                "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: doc0000: {message}\n"
 
 
 @pytest.mark.parametrize("argv, value", [

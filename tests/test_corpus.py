@@ -349,6 +349,10 @@ def _set_supersense(obj, value):
     obj["sentences"][0]["arguments"][0]["supersense"] = value
 
 
+def _set_span(obj, value):
+    obj["sentences"][0]["predicates"][0]["span"] = value
+
+
 # (edit, value, message): a document id names the line, anything else the
 # document
 NOT_A_STRING = [
@@ -359,9 +363,11 @@ NOT_A_STRING = [
     (_set_doc_edge_end, ["x"], "d0: an edge's endpoint ['x'] is not a string"),
     (_set_supersense, ["event"],
      "d0: argument a0's supersense ['event'] is not a string"),
+    (_set_span, {"a": [1]},
+     "d0: predicate p0's span {'a': [1]} is not a string"),
 ]
 NOT_A_STRING_IDS = ["doc-id-list", "doc-id-number", "predicate-id", "edge",
-                    "doc-edge", "supersense"]
+                    "doc-edge", "supersense", "span"]
 
 
 @pytest.mark.parametrize("edit, value, message", NOT_A_STRING,
@@ -375,4 +381,38 @@ def test_id_or_supersense_not_a_string(tmp_path, edit, value, message):
     path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(ConsistencyError) as exc:
         load_corpus(path, SCHEMA)
+    assert str(exc.value) == message
+
+
+# (key path, value, message): each check of validate_document on the graph
+# itself, on a document whose second sentence holds p1 and a1
+GRAPH_ERRORS = [
+    (("sentences", 0, "arguments", 0, "id"), "p0", "d0: duplicate node ids"),
+    (("sentences", 0, "edges", 0), ["p0", "zz"],
+     "d0: edge p0->zz references unknown node"),
+    (("sentences", 0, "edges", 0), ["a0", "p0"],
+     "d0: edge a0->p0 must join a predicate to an argument"),
+    (("sentences", 0, "edges", 0), ["p0", "a1"],
+     "d0: edge p0->a1 crosses sentences"),
+    (("doc_edges",), [["p0", "zz"]],
+     "d0: document edge p0--zz references unknown node"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", GRAPH_ERRORS,
+                         ids=["duplicate-id", "unknown-node", "not-pred-arg",
+                              "crosses-sentences", "doc-edge-unknown-node"])
+def test_graph_structure_errors(tmp_path, path, value, message):
+    obj = make_doc("d0", annotations=[rec("telic", True)]).to_obj()
+    obj["sentences"].append({"predicates": [{"id": "p1", "span": "sat"}],
+                             "arguments": [{"id": "a1", "span": "cat"}],
+                             "edges": [["p1", "a1"]]})
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ConsistencyError) as exc:
+        load_corpus(corpus, SCHEMA)
     assert str(exc.value) == message
