@@ -73,7 +73,7 @@ def _params_from_packs(params: ModelParams, schema: Schema,
         arrays = packs[spec.name].arrays
         k = params.inventory.k_for(spec.group)
         for prefix, owner, attr, width in _leaves(params.props[spec.name]):
-            setattr(owner, attr + "mu", arrays[prefix + "mu"][:k])
+            setattr(owner, attr + "mu", np.array(arrays[prefix + "mu"][:k]))
             mat = arrays[prefix + "rho"]
             setattr(owner, attr + "rho",
                     {a: float(mat[i]) if width is None else np.array(mat[i])
@@ -85,7 +85,7 @@ def _params_from_packs(params: ModelParams, schema: Schema,
             elif len(mat):
                 setattr(owner, attr + "sigma", lk.update_sigma(mat))
             if isinstance(owner, OrdinalParams):
-                owner.cut_raw = arrays[prefix + "cut_raw"]
+                owner.cut_raw = np.array(arrays[prefix + "cut_raw"])
                 owner.recenter()
 
 
@@ -482,14 +482,20 @@ def fit(train: list[DocumentGraph], dev: list[DocumentGraph],
     dev_obs = build_obs(dev, schema, config.confidence_weighting)
     params = init_params(schema, inventory, seed=config.seed,
                          annotators=obs.annotators)
+    graph = compile_corpus(train, inventory, config.window, obs)
+    mstep = _MStep([params], schema, obs, config)
     train_trace: list[float] = []
     dev_trace: list[float] = []
     best_params = copy.deepcopy(params)
     stopped = "max-iters"
-    for _ in range(config.max_em_iters):
+    for it in range(config.max_em_iters):
+        if it:
+            mstep.refit()
         posts = e_step(train, params, schema, config, obs=obs)
         train_trace.append(total_evidence(posts))
-        m_step(train, posts, params, schema, config, obs=obs)
+        update_priors(params, graph.prior_counts(posts))
+        mstep.run(_one_fit(posterior_matrices(obs, posts, inventory)))
+        mstep.write_back()
         dev_posts = (e_step(dev, params, schema, config, obs=dev_obs)
                      if dev else [])
         dev_trace.append(total_evidence(dev_posts) if dev
