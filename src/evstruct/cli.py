@@ -451,12 +451,19 @@ def _read_reliability(path) -> ReliabilityMatrix:
                 f"{path}: expected columns item, annotator, value"
                 f"[, confidence]", EXIT_DATA)
         has_conf = len(header) > 3 and header[3] == "confidence"
+        first: dict[tuple[str, str], int] = {}   # (item, annotator) -> line
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) < 3:
                 raise CliError(f"{path}:{lineno}: short row", EXIT_DATA)
+            item, annotator = parts[:2]
+            seen = first.setdefault((item, annotator), lineno)
+            if seen != lineno:
+                raise CliError(f"{path}:{lineno}: annotator {annotator!r} "
+                               f"already answered item {item!r} on line "
+                               f"{seen}", EXIT_DATA)
             value: object = parts[2]
             try:
                 value = int(parts[2])
@@ -467,7 +474,11 @@ def _read_reliability(path) -> ReliabilityMatrix:
             except ValueError:
                 raise CliError(f"{path}:{lineno}: confidence {parts[3]!r} "
                                f"is not a number", EXIT_DATA) from None
-            table.add(parts[0], parts[1], value, conf)
+            # a NaN fails this comparison too
+            if conf is not None and not 0.0 <= conf <= 1.0:
+                raise CliError(f"{path}:{lineno}: confidence {parts[3]!r} "
+                               f"is not in [0, 1]", EXIT_DATA)
+            table.add(item, annotator, value, conf)
     return table
 
 

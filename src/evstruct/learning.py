@@ -7,8 +7,9 @@ one table function per response family, with expected counts per
 (annotator, type, outcome): the responsibility-weighted rows the E-step
 scores, summed once per M-step.  Its machinery (objective, gradients,
 Adam) runs over a stack of fits: a full model fit is a stack of one, and
-type-count selection stacks every restart of every candidate type count,
-whose M-step state is built once and kept for the whole EM.
+type-count selection stacks every restart of every candidate type count.
+Either EM keeps one M-step state: fit writes it back after each M-step,
+before the next refit, and selection once, at the end.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ class FitResult:
 def _params_from_packs(params: ModelParams, schema: Schema,
                        annotators: list[str],
                        packs: dict[str, _Pack]) -> None:
-    """Write the packed arrays back into params: each block's mu (without
-    any padding rows), rho dict (in annotators order) and sigma re-estimated
-    from the rho rows, with ordinal cutpoints recentred."""
+    """Write copies of the packed arrays back into params: each block's mu
+    (without any padding rows), rho dict (in annotators order) and sigma
+    re-estimated from the rho rows, with ordinal cutpoints recentred."""
     for spec in schema:
         arrays = packs[spec.name].arrays
         k = params.inventory.k_for(spec.group)
@@ -333,11 +334,13 @@ class _MStep:
 
     The padded packs, the fused groups, the parameter vector x, its
     gradient g and the fit of each entry of x are built once from the
-    fits' parameters; write_back writes x back into them once, at the end.
-    Between M-steps, refit re-estimates the intercept covariances and
-    recentres the cutpoints in place, as write_back does in the
-    parameters.  stacked holds each property's arrays of every fit as
-    (F, ...) views of the group arrays, which the E-step scores."""
+    fits' parameters; write_back writes copies of x into them, once at
+    the end (type-count selection) or after every run (fit).  Between
+    M-steps, refit re-estimates the intercept covariances and recentres
+    the cutpoints in place, as write_back does in the parameters, so a
+    write_back must come before the next refit.  stacked holds each
+    property's arrays of every fit as (F, ...) views of the group arrays,
+    which the E-step scores."""
 
     def __init__(self, fits: list[ModelParams], schema: Schema,
                  obs: ObsIndex, config: FitConfig,
@@ -475,7 +478,8 @@ def fit(train: list[DocumentGraph], dev: list[DocumentGraph],
         inventory: TypeInventory, schema: Schema,
         config: FitConfig) -> FitResult:
     """EM with loopy-BP E-steps and dev-evidence stopping; returns the
-    parameters from the best dev iteration."""
+    parameters from the best dev iteration.  One M-step state, kept for
+    the whole EM, is written back after each M-step, before the next refit."""
     if not train:
         raise ValueError("empty training corpus")
     obs = build_obs(train, schema, config.confidence_weighting)

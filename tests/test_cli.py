@@ -796,9 +796,15 @@ CONFIDENT_TABLE = "item\tannotator\tvalue\tconfidence\ni0\tx\t1\t0.5\n"
      EXIT_DATA, "error: dev split would consume the whole corpus"),
     ("cfg.json", "[1]", ["synth", "--config"], EXIT_USAGE,
      "error: config file {path} must hold an object"),
+    ("resp.tsv", "item\tannotator\tvalue\ni0\tx\t1\ni1\tx\t2\ni0\tx\t2\n",
+     ["agreement", "--table"], EXIT_DATA,
+     "error: {path}:4: annotator 'x' already answered item 'i0' on line 2"),
+    ("resp.tsv", CONFIDENT_TABLE + "i0\ty\t1\tnan\n",
+     ["agreement", "--table"], EXIT_DATA,
+     "error: {path}:3: confidence 'nan' is not in [0, 1]"),
 ], ids=["table-header", "table-short-row", "threshold-nan",
         "thresholds-nan-unordered", "threshold-above-range", "one-document",
-        "config-list"])
+        "config-list", "table-repeated-pair", "table-confidence-nan"])
 def test_bad_input_file_or_value_names_the_problem(tmp_path, capsys, name,
                                                    text, argv, code, message):
     path = tmp_path / name
