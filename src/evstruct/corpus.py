@@ -31,6 +31,13 @@ ORDER_E1_FIRST, ORDER_TIE, ORDER_E2_FIRST = "e1-first", "tie", "e2-first"
 ORDER_OUTCOMES = (ORDER_E1_FIRST, ORDER_TIE, ORDER_E2_FIRST)
 
 
+def free_order_applies(lock_start: str, lock_end: str) -> bool:
+    """The free order is an outcome exactly when both locks are single and
+    name different events: then one start and one end are free, and they
+    belong to different events."""
+    return LOCK_BOTH not in (lock_start, lock_end) and lock_start != lock_end
+
+
 class CorpusError(ValueError):
     pass
 
@@ -69,7 +76,7 @@ def normalize_temporal(raw) -> TemporalTuple:
     are locked to the boundary.
 
     The relative order of the two free interior points is recorded only
-    when one start and one end from *different* events are free.
+    when ``free_order_applies``.
     """
     eps = LOCK_TOLERANCE
     s1, s2, e1, e2 = map(float, raw)
@@ -104,9 +111,8 @@ def normalize_temporal(raw) -> TemporalTuple:
         e2 = 1.0
 
     free_order = None
-    if LOCK_BOTH not in (lock_start, lock_end) and lock_start != lock_end:
-        # one start and one end are free, of different events: order them
-        # by owning event
+    if free_order_applies(lock_start, lock_end):
+        # order the two free points by owning event
         p1, p2 = (e1, s2) if lock_start == LOCK_E1 else (s1, e2)
         if abs(p1 - p2) <= eps:
             free_order = ORDER_TIE

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import (
-    LOCK_OUTCOMES, ORDER_OUTCOMES, TemporalTuple,
+    LOCK_OUTCOMES, ORDER_OUTCOMES, TemporalTuple, free_order_applies,
 )
 
 LOGIT_CLAMP = 30.0       # logits are clamped here before exponentiation
@@ -229,21 +229,11 @@ def temporal_loglik_grad(mu_start, rho_start, mu_end, rho_end,
 
 
 def temporal_outcome_space():
-    """All discrete (lock_start, lock_end, free_order) outcomes with their
-    geometric realizability; used for normalization checks and sampling.
-
-    The free-order term applies exactly when the free start and free end
-    belong to different events: both locks single and naming different
-    events (lock_start=e1 frees e2's start; lock_end=e2 frees e1's end)."""
-    outcomes = []
-    for ls in LOCK_OUTCOMES:
-        for le in LOCK_OUTCOMES:
-            if ls != "both" and le != "both" and ls != le:
-                for order in ORDER_OUTCOMES:
-                    outcomes.append((ls, le, order))
-            else:
-                outcomes.append((ls, le, None))
-    return outcomes
+    """All discrete (lock_start, lock_end, free_order) outcomes; used for
+    normalization checks."""
+    return [(ls, le, order) for ls in LOCK_OUTCOMES for le in LOCK_OUTCOMES
+            for order in (ORDER_OUTCOMES if free_order_applies(ls, le)
+                          else (None,))]
 
 
 # ---------------------------------------------------------------------------

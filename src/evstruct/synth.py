@@ -15,8 +15,9 @@ import numpy as np
 
 from . import likelihoods as lk
 from .corpus import (
-    AnnotationRecord, DocumentGraph, LOCK_OUTCOMES, ORDER_OUTCOMES, Node,
-    Sentence, doc_edge_id, edge_id,
+    LOCK_E1, LOCK_E2, LOCK_OUTCOMES, ORDER_E1_FIRST, ORDER_E2_FIRST,
+    ORDER_OUTCOMES, AnnotationRecord, DocumentGraph, Node, Sentence,
+    doc_edge_id, edge_id, free_order_applies,
 )
 from .factorgraph import window_pairs
 from .params import (
@@ -189,8 +190,7 @@ def _sample_value(base, spec, annotator: str, type_idx: int,
         p = lk.sigmoid(base.mu[type_idx] + base.rho_of(annotator))
         return bool(rng.random() < p)
     if spec.response == CATEGORICAL:
-        p = np.exp(lk.log_softmax(base.mu[type_idx] + base.rho_of(annotator)))
-        return int(rng.choice(len(p), p=p / p.sum()))
+        return _categorical(base, annotator, type_idx, rng)
     if spec.response == ORDINAL:
         cuts = base.cutpoints(annotator)
         J = len(cuts) + 1
@@ -202,78 +202,48 @@ def _sample_value(base, spec, annotator: str, type_idx: int,
     raise ValueError(spec.response)  # pragma: no cover
 
 
-def _cat3(mu_row, rho, rng):
-    p = np.exp(lk.log_softmax(mu_row + rho))
-    return int(rng.choice(3, p=p / p.sum()))
+def _categorical(base, annotator: str, type_idx: int,
+                 rng: np.random.Generator) -> int:
+    p = np.exp(lk.log_softmax(base.mu[type_idx] + base.rho_of(annotator)))
+    return int(rng.choice(len(p), p=p / p.sum()))
 
 
 def _sample_temporal(base: TemporalParams, annotator: str, type_idx: int,
                      rng: np.random.Generator) -> list:
-    ls = LOCK_OUTCOMES[_cat3(base.start.mu[type_idx],
-                             base.start.rho_of(annotator), rng)]
-    le = LOCK_OUTCOMES[_cat3(base.end.mu[type_idx],
-                             base.end.rho_of(annotator), rng)]
-    order = None
-    if ls != "both" and le != "both" and ls != le:
-        order = ORDER_OUTCOMES[_cat3(base.order.mu[type_idx],
-                                     base.order.rho_of(annotator), rng)]
+    ls, le = (LOCK_OUTCOMES[_categorical(lock, annotator, type_idx, rng)]
+              for lock in (base.start, base.end))
+    order = (ORDER_OUTCOMES[_categorical(base.order, annotator, type_idx, rng)]
+             if free_order_applies(ls, le) else None)
     return realize_tuple(ls, le, order, rng)
+
+
+# the point a single lock leaves free, as an offset into a (point of event 1,
+# point of event 2) pair: locking e1 frees e2's point, and the reverse
+FREE_POINT = {LOCK_E1: 1, LOCK_E2: 0}
 
 
 def realize_tuple(ls: str, le: str, order: Optional[str],
                   rng: np.random.Generator) -> list:
-    """Construct a normalized 4-tuple consistent with sampled lock and
-    free-order outcomes."""
-    def interior():
-        return float(rng.uniform(0.35, 0.65))
-
-    def two_interior():
+    """Construct a normalized (start1, start2, end1, end2) tuple consistent
+    with sampled lock and free-order outcomes."""
+    t = [0.0, 0.0, 1.0, 1.0]
+    free = [first + FREE_POINT[lock] for first, lock in ((0, ls), (2, le))
+            if lock in FREE_POINT]
+    if len(free) == 1:
+        t[free[0]] = float(rng.uniform(0.35, 0.65))
+    elif free:
         a = float(rng.uniform(0.15, 0.4))
         b = float(rng.uniform(0.6, 0.85))
-        return a, b
-
-    s1 = s2 = 0.0
-    e1 = e2 = 1.0
-    if ls == "both" and le == "both":
-        pass
-    elif ls == "both":
-        if le == "e1":
-            e2 = interior()
+        if not free_order_applies(ls, le):
+            # both free points belong to one event; keep them ordered
+            t[free[0]], t[free[1]] = a, b
         else:
-            e1 = interior()
-    elif le == "both":
-        if ls == "e1":
-            s2 = interior()
-        else:
-            s1 = interior()
-    elif ls == le:
-        # both free points belong to the unlocked event; keep them ordered
-        a, b = two_interior()
-        if ls == "e1":       # e1 locked at both ends, e2 interior
-            s2, e2 = a, b
-        else:
-            s1, e1 = a, b
-    else:
-        # one free start and one free end from different events
-        a, b = two_interior()
-        mid = float(rng.uniform(0.45, 0.55))
-        if ls == "e1" and le == "e2":
-            # free: e2's start, e1's end
-            if order == "e1-first":
-                e1, s2 = a, b
-            elif order == "e2-first":
-                s2, e1 = a, b
-            else:
-                e1 = s2 = mid
-        else:  # ls == "e2", le == "e1"
-            # free: e1's start, e2's end
-            if order == "e1-first":
-                s1, e2 = a, b
-            elif order == "e2-first":
-                e2, s1 = a, b
-            else:
-                s1 = e2 = mid
-    return [s1, s2, e1, e2]
+            mid = float(rng.uniform(0.45, 0.55))
+            # event 1's points sit at even indices, event 2's at odd ones
+            p1, p2 = sorted(free, key=lambda i: i % 2)
+            t[p1], t[p2] = {ORDER_E1_FIRST: (a, b),
+                            ORDER_E2_FIRST: (b, a)}.get(order, (mid, mid))
+    return t
 
 
 def _sample_confidence(levels, rng) -> int:

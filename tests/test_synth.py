@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from evstruct import likelihoods as lk
-from evstruct.corpus import normalize_temporal, validate_document
+from evstruct.corpus import (
+    LOCK_OUTCOMES, ORDER_OUTCOMES, normalize_temporal, validate_document,
+)
 from evstruct.factorgraph import derive_doc_edges
 from evstruct.params import TypeInventory
 from evstruct.schema import TEMPORAL, default_schema
 from evstruct.synth import (
-    SynthConfig, corpus_stats, flat_schema, format_stats, sample_corpus,
-    separated_params,
+    SynthConfig, corpus_stats, flat_schema, format_stats, realize_tuple,
+    sample_corpus, separated_params,
 )
 
 INV = TypeInventory(k_event=2, k_entity=2, k_role=2, k_rel=2)
@@ -214,3 +216,67 @@ def test_synth_binary_only_group_needs_distinct_signatures(tmp_path, capsys):
                 "--schema", "flat", "--k-entity", "9"]) == EXIT_DATA
     assert ("cannot give 9 types distinct signatures over 3 binary "
             "properties") in capsys.readouterr().err
+
+
+def reference_realize_tuple(ls, le, order, rng):
+    """The enumerated form `realize_tuple` replaced: one branch per lock
+    combination.  Kept as the reference its free-point form must match."""
+    def interior():
+        return float(rng.uniform(0.35, 0.65))
+
+    def two_interior():
+        a = float(rng.uniform(0.15, 0.4))
+        b = float(rng.uniform(0.6, 0.85))
+        return a, b
+
+    s1 = s2 = 0.0
+    e1 = e2 = 1.0
+    if ls == "both" and le == "both":
+        pass
+    elif ls == "both":
+        if le == "e1":
+            e2 = interior()
+        else:
+            e1 = interior()
+    elif le == "both":
+        if ls == "e1":
+            s2 = interior()
+        else:
+            s1 = interior()
+    elif ls == le:
+        a, b = two_interior()
+        if ls == "e1":
+            s2, e2 = a, b
+        else:
+            s1, e1 = a, b
+    else:
+        a, b = two_interior()
+        mid = float(rng.uniform(0.45, 0.55))
+        if ls == "e1" and le == "e2":
+            if order == "e1-first":
+                e1, s2 = a, b
+            elif order == "e2-first":
+                s2, e1 = a, b
+            else:
+                e1 = s2 = mid
+        else:
+            if order == "e1-first":
+                s1, e2 = a, b
+            elif order == "e2-first":
+                e2, s1 = a, b
+            else:
+                s1 = e2 = mid
+    return [s1, s2, e1, e2]
+
+
+@pytest.mark.parametrize("order", ORDER_OUTCOMES + (None,))
+@pytest.mark.parametrize("le", LOCK_OUTCOMES)
+@pytest.mark.parametrize("ls", LOCK_OUTCOMES)
+def test_realize_tuple_matches_enumerated_reference(ls, le, order):
+    for seed in range(100):
+        new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = realize_tuple(ls, le, order, new_rng)
+        assert got == reference_realize_tuple(ls, le, order, ref_rng)
+        assert all(type(v) is float for v in got)
+        # the same draws, in the same order
+        assert new_rng.random() == ref_rng.random()
