@@ -52,12 +52,6 @@ class ReliabilityMatrix:
     def annotators(self) -> list[str]:
         return sorted({a for _, a in self.responses})
 
-    def by_item(self) -> dict[str, list]:
-        out: dict[str, list] = {}
-        for (item, _), value in sorted(self.responses.items()):
-            out.setdefault(item, []).append(value)
-        return out
-
     def filtered(self, threshold: float) -> "ReliabilityMatrix":
         """Copy without cells whose confidence is <= threshold."""
         out = ReliabilityMatrix()

@@ -163,19 +163,15 @@ def export_features(docs: list[DocumentGraph],
             raise AnalysisError(f"missing posterior for element {var!r}")
         return np.asarray(post.marginals[var], dtype=float)
 
-    first = posteriors[0]
-    k_event = k_role = k_entity = None
-    for var, kind in first.kinds.items():
-        if var not in first.marginals:
-            raise AnalysisError(f"missing posterior for element {var!r}")
-        if kind == "event":
-            k_event = len(first.marginals[var])
-        elif kind == "role":
-            k_role = len(first.marginals[var])
-        elif kind == "entity":
-            k_entity = len(first.marginals[var])
-    if None in (k_event, k_role, k_entity):
+    # each kind's type count, from its first variable in any document
+    counts = {}
+    for post in posteriors:
+        for var, kind in post.kinds.items():
+            if kind in ("event", "role", "entity") and kind not in counts:
+                counts[kind] = len(marg(post, var))
+    if len(counts) < 3:
         raise AnalysisError("posteriors lack event, role, or entity variables")
+    k_event, k_role, k_entity = counts["event"], counts["role"], counts["entity"]
 
     header = ([f"event{t}" for t in range(k_event)]
               + [f"role{t}" for t in range(k_role)]

@@ -299,8 +299,8 @@ def _fuse(packs: dict[str, _Pack], params: ModelParams, schema: Schema,
 class Adam:
     """Plain full-batch Adam ascent on one parameter vector, in place."""
 
-    def __init__(self, x: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, x: np.ndarray, lr: float, beta1: float, beta2: float,
+                 eps: float):
         self.x = x
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         # the first and second moments as two rows, updated together

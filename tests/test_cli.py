@@ -1050,3 +1050,145 @@ def test_usage_error_leaves_next_run_unchanged(tmp_path, capsys):
     config = [json.loads((tmp_path / d / "manifest.json").read_text())
               ["config"] for d in "ac"]
     assert config[0] == config[1]
+
+
+K_FLAGS_3222 = ["--k-event", "3", "--k-entity", "2", "--k-role", "2",
+                "--k-rel", "2"]
+
+
+def _features(tmp_path, corpus, checkpoint, name):
+    out = tmp_path / name
+    assert run(["export-features", "--corpus", str(corpus), "--checkpoint",
+                str(checkpoint), "--out", str(out)] + K_FLAGS_3222) == 0
+    return (out / "features.tsv").read_text().splitlines()
+
+
+def test_export_features_on_an_empty_corpus_is_data_error(tmp_path, capsys):
+    # it raised an IndexError reading the first document's posteriors
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "1"]
+               + K_FLAGS_3222) == 0
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    capsys.readouterr()
+    assert run(["export-features", "--corpus", str(empty), "--checkpoint",
+                str(data / "true_params.json"), "--out",
+                str(tmp_path / "out")] + K_FLAGS_3222) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: posteriors lack event, role, or entity variables\n")
+
+
+def test_export_features_takes_type_counts_from_any_document(tmp_path):
+    # it read them from the first document only, which here has no
+    # arguments, and so found no role or entity variables
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "4", "--seed", "1"]
+               + K_FLAGS_3222) == 0
+    ckpt = data / "true_params.json"
+    lines = (data / "corpus.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    gone = set()
+    for sent in first["sentences"]:
+        gone.update(a["id"] for a in sent["arguments"])
+        gone.update(f"{p}->{a}" for p, a in sent["edges"])
+        sent["arguments"], sent["edges"] = [], []
+    assert not any(a in gone or b in gone for a, b in first["doc_edges"])
+    first["annotations"] = [a for a in first["annotations"]
+                            if a["element"] not in gone]
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    rest = tmp_path / "rest.jsonl"
+    rest.write_text("\n".join(lines[1:]) + "\n")
+    n_pred = sum(len(s["predicates"]) for s in first["sentences"])
+
+    got = _features(tmp_path, edited, ckpt, "edited")
+    alone = _features(tmp_path, rest, ckpt, "rest")
+    assert got[0] == alone[0]                           # header
+    assert all(row.split("\t")[1] == "predicate" for row in got[1:1 + n_pred])
+    assert got[1 + n_pred:] == alone[1:]
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("item\tannotator\tvalue\ni0\ta\t1\ni0\tb\t1\ni1\ta\t0\ni1\tb\t1\n",
+     ["--thresholds", "0.2"],
+     "data error: cell ('i0', 'a') has no confidence score to threshold on"),
+    ("item\tannotator\tvalue\ni0\ta\t1\ni1\ta\t0\ni2\ta\t1\n",
+     ["--bootstrap"], "data error: alpha undefined in every resample"),
+], ids=["thresholds-without-confidence", "bootstrap-one-annotator"])
+def test_agreement_table_that_cannot_give_the_figure_is_data_error(
+        tmp_path, capsys, text, argv, message):
+    table = tmp_path / "resp.tsv"
+    table.write_text(text)
+    capsys.readouterr()
+    assert run(["agreement", "--table", str(table), "--out",
+                str(tmp_path / "out")] + argv) == EXIT_DATA
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_entropy_without_arguments_reports_event_and_rel(tmp_path):
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "3", "--arguments",
+                "0", "--seed", "2"] + K_FLAGS_3222) == 0
+    out = tmp_path / "out"
+    assert run(["entropy", "--corpus", str(data / "corpus.jsonl"),
+                "--checkpoint", str(data / "true_params.json"),
+                "--out", str(out)] + K_FLAGS_3222) == 0
+    assert set(json.loads((out / "entropy.json").read_text())) \
+        == {"event", "rel"}
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.name != "manifest.json"}
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    data = synth(tmp_path / "data")
+    corpus = (data / "corpus.jsonl").read_text().splitlines()
+    table = _agreement_table(tmp_path / "resp.tsv").read_text().splitlines()
+    blank_corpus = tmp_path / "blank.jsonl"
+    blank_corpus.write_text("\n" + "\n\n".join(corpus) + "\n  \n")
+    blank_table = tmp_path / "blank.tsv"
+    blank_table.write_text(table[0] + "\n\n" + "\n".join(table[1:3]) + "\n \n"
+                           + "\n".join(table[3:]) + "\n\n")
+    for name, plain, blank in (("corpus", data / "corpus.jsonl", blank_corpus),
+                               ("table", tmp_path / "resp.tsv", blank_table)):
+        outs = []
+        for path in (plain, blank):
+            out = tmp_path / f"{name}-{path.stem}"
+            argv = (["ingest", "--corpus", str(path), "--schema", "flat"]
+                    if name == "corpus" else
+                    ["agreement", "--table", str(path), "--thresholds", "0.2"])
+            assert run(argv + ["--out", str(out)]) == 0
+            outs.append(_outputs(out))
+        assert outs[0] == outs[1] and outs[0]
+
+
+SCHEMA_ENTRY = {"subspace": "s", "attaches_to": "predicate-node"}
+
+
+@pytest.mark.parametrize("schema, message", [
+    ([dict(SCHEMA_ENTRY, name="c", response="categorical", n_categories=1)],
+     "c: categorical needs >= 2 categories"),
+    ([dict(SCHEMA_ENTRY, name="p", response="binary"),
+      dict(SCHEMA_ENTRY, name="p", response="binary")],
+     "duplicate property name 'p'"),
+    ([dict(SCHEMA_ENTRY, name="p", response="binary"),
+      dict(SCHEMA_ENTRY, name="q", response="binary", gate=["p", True],
+           attaches_to="argument-node")],
+     "q: gate parent p attaches to a different element kind"),
+    ([dict(SCHEMA_ENTRY, name="p", response="categorical", n_categories=3),
+      dict(SCHEMA_ENTRY, name="q", response="binary", gate=["p", True])],
+     "q: gate parent must be binary"),
+], ids=["one-category", "repeated-name", "gate-other-kind",
+        "gate-not-binary"])
+def test_inconsistent_schema_file_is_data_error(tmp_path, capsys, schema,
+                                                message):
+    data = synth(tmp_path / "data")
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(schema))
+    capsys.readouterr()
+    assert run(["ingest", "--corpus", str(data / "corpus.jsonl"),
+                "--schema", str(path), "--out", str(tmp_path / "out")]) \
+        == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
