@@ -802,9 +802,16 @@ CONFIDENT_TABLE = "item\tannotator\tvalue\tconfidence\ni0\tx\t1\t0.5\n"
     ("resp.tsv", CONFIDENT_TABLE + "i0\ty\t1\tnan\n",
      ["agreement", "--table"], EXIT_DATA,
      "error: {path}:3: confidence 'nan' is not in [0, 1]"),
+    ("resp.tsv", "item\tannotator\tvalue\ni0\ta\t1\ni0\tb\t1\ni1\ta\t0\n",
+     ["agreement", "--thresholds", "0.2", "--table"], EXIT_DATA,
+     "data error: cell ('i0', 'a') has no confidence score to threshold on"),
+    ("resp.tsv", "item\tannotator\tvalue\ni0\ta\t1\ni1\ta\t0\ni2\ta\t1\n",
+     ["agreement", "--bootstrap", "--table"], EXIT_DATA,
+     "data error: alpha undefined in every resample"),
 ], ids=["table-header", "table-short-row", "threshold-nan",
         "thresholds-nan-unordered", "threshold-above-range", "one-document",
-        "config-list", "table-repeated-pair", "table-confidence-nan"])
+        "config-list", "table-repeated-pair", "table-confidence-nan",
+        "thresholds-without-confidence", "bootstrap-one-annotator"])
 def test_bad_input_file_or_value_names_the_problem(tmp_path, capsys, name,
                                                    text, argv, code, message):
     path = tmp_path / name
@@ -1052,14 +1059,15 @@ def test_usage_error_leaves_next_run_unchanged(tmp_path, capsys):
     assert config[0] == config[1]
 
 
-K_FLAGS_3222 = ["--k-event", "3", "--k-entity", "2", "--k-role", "2",
-                "--k-rel", "2"]
+# the type counts of the default schema's corpora below
+K_FLAGS = ["--k-event", "3", "--k-entity", "2", "--k-role", "2",
+           "--k-rel", "2"]
 
 
 def _features(tmp_path, corpus, checkpoint, name):
     out = tmp_path / name
     assert run(["export-features", "--corpus", str(corpus), "--checkpoint",
-                str(checkpoint), "--out", str(out)] + K_FLAGS_3222) == 0
+                str(checkpoint), "--out", str(out)] + K_FLAGS) == 0
     return (out / "features.tsv").read_text().splitlines()
 
 
@@ -1067,13 +1075,13 @@ def test_export_features_on_an_empty_corpus_is_data_error(tmp_path, capsys):
     # it raised an IndexError reading the first document's posteriors
     data = tmp_path / "data"
     assert run(["synth", "--out", str(data), "--docs", "1"]
-               + K_FLAGS_3222) == 0
+               + K_FLAGS) == 0
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     capsys.readouterr()
     assert run(["export-features", "--corpus", str(empty), "--checkpoint",
                 str(data / "true_params.json"), "--out",
-                str(tmp_path / "out")] + K_FLAGS_3222) == EXIT_DATA
+                str(tmp_path / "out")] + K_FLAGS) == EXIT_DATA
     assert capsys.readouterr().err == (
         "data error: posteriors lack event, role, or entity variables\n")
 
@@ -1083,7 +1091,7 @@ def test_export_features_takes_type_counts_from_any_document(tmp_path):
     # arguments, and so found no role or entity variables
     data = tmp_path / "data"
     assert run(["synth", "--out", str(data), "--docs", "4", "--seed", "1"]
-               + K_FLAGS_3222) == 0
+               + K_FLAGS) == 0
     ckpt = data / "true_params.json"
     lines = (data / "corpus.jsonl").read_text().splitlines()
     first = json.loads(lines[0])
@@ -1099,40 +1107,24 @@ def test_export_features_takes_type_counts_from_any_document(tmp_path):
     edited.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
     rest = tmp_path / "rest.jsonl"
     rest.write_text("\n".join(lines[1:]) + "\n")
-    n_pred = sum(len(s["predicates"]) for s in first["sentences"])
+    preds = [[p["id"], "predicate"]
+             for s in first["sentences"] for p in s["predicates"]]
 
     got = _features(tmp_path, edited, ckpt, "edited")
     alone = _features(tmp_path, rest, ckpt, "rest")
     assert got[0] == alone[0]                           # header
-    assert all(row.split("\t")[1] == "predicate" for row in got[1:1 + n_pred])
-    assert got[1 + n_pred:] == alone[1:]
-
-
-@pytest.mark.parametrize("text, argv, message", [
-    ("item\tannotator\tvalue\ni0\ta\t1\ni0\tb\t1\ni1\ta\t0\ni1\tb\t1\n",
-     ["--thresholds", "0.2"],
-     "data error: cell ('i0', 'a') has no confidence score to threshold on"),
-    ("item\tannotator\tvalue\ni0\ta\t1\ni1\ta\t0\ni2\ta\t1\n",
-     ["--bootstrap"], "data error: alpha undefined in every resample"),
-], ids=["thresholds-without-confidence", "bootstrap-one-annotator"])
-def test_agreement_table_that_cannot_give_the_figure_is_data_error(
-        tmp_path, capsys, text, argv, message):
-    table = tmp_path / "resp.tsv"
-    table.write_text(text)
-    capsys.readouterr()
-    assert run(["agreement", "--table", str(table), "--out",
-                str(tmp_path / "out")] + argv) == EXIT_DATA
-    assert capsys.readouterr().err == message + "\n"
+    assert [row.split("\t")[:2] for row in got[1:1 + len(preds)]] == preds
+    assert got[1 + len(preds):] == alone[1:]
 
 
 def test_entropy_without_arguments_reports_event_and_rel(tmp_path):
     data = tmp_path / "data"
     assert run(["synth", "--out", str(data), "--docs", "3", "--arguments",
-                "0", "--seed", "2"] + K_FLAGS_3222) == 0
+                "0", "--seed", "2"] + K_FLAGS) == 0
     out = tmp_path / "out"
     assert run(["entropy", "--corpus", str(data / "corpus.jsonl"),
                 "--checkpoint", str(data / "true_params.json"),
-                "--out", str(out)] + K_FLAGS_3222) == 0
+                "--out", str(out)] + K_FLAGS) == 0
     assert set(json.loads((out / "entropy.json").read_text())) \
         == {"event", "rel"}
 
