@@ -220,6 +220,13 @@ class TestPanel:
         with pytest.raises(AgreementError):
             pairwise_alpha_vs_panel(panel, {"bad": bad})
 
+    def test_one_annotator_panel_rejected(self):
+        panel = from_items({"i1": [0], "i2": [1]})
+        ind = ReliabilityMatrix()
+        ind.add("i1", "x", 0)
+        with pytest.raises(AgreementError, match="at least two annotators"):
+            pairwise_alpha_vs_panel(panel, {"x": ind})
+
 
 def test_bootstrap_interval_contains_point():
     rng = np.random.default_rng(9)

@@ -14,7 +14,8 @@ from evstruct.cli import (
     CONFIG_ENV_VAR, EXIT_COMPUTE, EXIT_DATA, EXIT_USAGE, run,
 )
 from evstruct.schema import (
-    CATEGORICAL, PRED_ARG_EDGE, PropertySpec, Schema, default_schema,
+    CATEGORICAL, DOCUMENT_EDGE, PRED_ARG_EDGE, PropertySpec, Schema,
+    default_schema,
 )
 
 
@@ -1184,3 +1185,98 @@ def test_inconsistent_schema_file_is_data_error(tmp_path, capsys, schema,
                 "--schema", str(path), "--out", str(tmp_path / "out")]) \
         == EXIT_DATA
     assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+
+
+def test_kind_without_elements_is_data_error(tmp_path, capsys):
+    # one predicate per document: no event pairs, so no relation elements
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "4", "--sentences",
+                "1", "--predicates", "1", "--arguments", "1"] + K_FLAGS) == 0
+    corpus, ckpt = str(data / "corpus.jsonl"), str(data / "true_params.json")
+    for argv, message in (
+            (["select-k", "--corpus", corpus, "--candidates", "1,2"],
+             "no annotated rel elements"),
+            (["compare-fits", "--corpus", corpus, "--checkpoint-a", ckpt,
+              "--checkpoint-b", ckpt] + K_FLAGS,
+             "no rel elements in the posterior sets")):
+        capsys.readouterr()
+        assert run(argv + ["--kind", "rel", "--out",
+                           str(tmp_path / argv[0])]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def test_entropy_of_a_single_role_type_is_zero(tmp_path):
+    flags = ["--k-event", "3", "--k-entity", "2", "--k-role", "1",
+             "--k-rel", "2"]
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "4"] + flags) == 0
+    corpus = str(data / "corpus.jsonl")
+    assert run(["fit", "--corpus", corpus, "--out", str(tmp_path / "fit"),
+                "--em-iters", "1", "--m-step-iters", "5"] + flags) == 0
+    out = tmp_path / "out"
+    assert run(["entropy", "--corpus", corpus, "--checkpoint",
+                str(tmp_path / "fit" / "checkpoint.json"),
+                "--out", str(out)] + flags) == 0
+    stats = json.loads((out / "entropy.json").read_text())
+    assert stats["role"] == {"mean": 0.0, "median": 0.0}
+    assert stats["event"]["mean"] > 0.0
+
+
+def _sigmas(obj):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key.endswith("sigma"):
+                yield value
+            yield from _sigmas(value)
+
+
+def test_fit_without_annotations(tmp_path):
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "4"] + K_FLAGS) == 0
+    docs = [json.loads(line) for line in
+            (data / "corpus.jsonl").read_text().splitlines()]
+    for doc in docs:
+        doc["annotations"] = []
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    out = tmp_path / "out"
+    assert run(["fit", "--corpus", str(bare), "--out", str(out),
+                "--em-iters", "2", "--m-step-iters", "5"] + K_FLAGS) == 0
+    trace = json.loads((out / "trace.json").read_text())
+    evidence = trace["train_evidence"] + trace["dev_evidence"]
+    assert len(evidence) == 4
+    assert evidence == pytest.approx([0.0] * 4, abs=1e-12)
+    ckpt = json.loads((out / "checkpoint.json").read_text())
+    assert ckpt["annotators"] == []
+    sigmas = list(_sigmas(ckpt))
+    assert sigmas
+    for sigma in sigmas:
+        sigma = np.atleast_2d(sigma)
+        assert np.array_equal(sigma, np.eye(len(sigma)))
+
+
+def test_fit_with_a_schema_without_relation_properties(tmp_path):
+    schema = tmp_path / "schema.json"
+    Schema(tuple(p for p in default_schema()
+                 if p.attaches_to != DOCUMENT_EDGE)).save(schema)
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "4", "--schema",
+                str(schema)] + K_FLAGS) == 0
+    out = tmp_path / "out"
+    assert run(["fit", "--corpus", str(data / "corpus.jsonl"), "--schema",
+                str(schema), "--out", str(out), "--em-iters", "1",
+                "--m-step-iters", "5"] + K_FLAGS) == 0
+    assert json.loads((out / "trace.json").read_text())["train_evidence"]
+
+
+def test_agreement_on_string_labels(tmp_path):
+    table = tmp_path / "resp.tsv"
+    rows = ["item\tannotator\tvalue"]
+    for k in range(6):
+        for ann in ("x", "y"):
+            rows.append(f"i{k}\t{ann}\t{'yes' if k % 2 else 'no'}")
+    table.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert run(["agreement", "--table", str(table), "--metric", "nominal",
+                "--out", str(out)]) == 0
+    assert json.loads((out / "agreement.json").read_text())["alpha"] == 1.0
