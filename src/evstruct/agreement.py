@@ -15,6 +15,8 @@ ORDINAL_METRIC = "ordinal"
 
 METRICS = (NOMINAL, ORDINAL_METRIC)
 
+LEVEL = 0.95  # coverage of every bootstrap interval
+
 # fraction of items that must keep >= 2 responses for a thresholded
 # alpha to count as defined
 MIN_ITEM_COVERAGE = 1.0 / 3.0
@@ -195,8 +197,7 @@ def pairwise_alpha_vs_panel(panel: ReliabilityMatrix,
 
 
 def bootstrap_alpha_ci(data: ReliabilityMatrix, metric: str = NOMINAL,
-                       n_boot: int = 1000, level: float = 0.95,
-                       seed: int = 0):
+                       n_boot: int = 1000, seed: int = 0):
     """Percentile interval of alpha under item resampling.  Resamples in
     which alpha is undefined are dropped; returns (lo, hi, n_defined)."""
     _check_metric(metric)
@@ -213,6 +214,6 @@ def bootstrap_alpha_ci(data: ReliabilityMatrix, metric: str = NOMINAL,
             stats.append(alpha)
     if not stats:
         raise UndefinedAgreementError("alpha undefined in every resample")
-    tail = 100.0 * (1.0 - level) / 2.0
+    tail = 100.0 * (1.0 - LEVEL) / 2.0
     lo, hi = np.percentile(stats, [tail, 100.0 - tail])
     return float(lo), float(hi), len(stats)

@@ -10,7 +10,7 @@ import numpy as np
 from . import likelihoods as lk
 from .corpus import DocumentGraph, edge_id
 from .factorgraph import PosteriorSet
-from .params import HurdleParams, ModelParams, TemporalParams
+from .params import HurdleParams, ModelParams
 from .schema import BINARY, GROUPS, Schema
 
 NA = "n/a"
@@ -51,10 +51,10 @@ def summarize_types(params: ModelParams, schema: Schema,
                 f"checkpoint lacks parameters for property {spec.name!r}")
     tables: dict[str, dict[str, list]] = {g: {} for g in GROUPS}
     for spec in schema:
+        if spec.response != BINARY:
+            continue
         pp = params.props[spec.name]
         base = pp.base if isinstance(pp, HurdleParams) else pp
-        if isinstance(base, TemporalParams) or spec.response != BINARY:
-            continue
         probs = lk.sigmoid(np.asarray(base.mu, dtype=float))
         cells = []
         for t, p in enumerate(probs):

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import analysis
 from .agreement import (
-    METRICS, ReliabilityMatrix, bootstrap_alpha_ci, krippendorff_alpha,
+    LEVEL, METRICS, ReliabilityMatrix, bootstrap_alpha_ci, krippendorff_alpha,
     thresholded_alpha,
 )
 from .corpus import load_corpus, prepare_corpus, save_corpus
@@ -382,8 +382,8 @@ def _cmd_fit(args, opts):
 
 def _cmd_posteriors(args, opts):
     docs, (posts,) = _e_steps(args, opts, args.checkpoint)
-    out = {doc.doc_id: {var: [repr(float(v)) for v in post.marginals[var]]
-                        for var in sorted(post.marginals)}
+    out = {doc.doc_id: {var: [repr(float(v)) for v in marginal]
+                        for var, marginal in post.marginals.items()}
            for doc, post in zip(docs, posts)}
     _dump_json(out, os.path.join(args.out, "posteriors.json"))
     return _bp_record(docs, posts)
@@ -393,7 +393,7 @@ def _cmd_select_k(args, opts):
     sc = opts.build(SelectionConfig, ("restarts", "mixture-em-iters",
                                       "bootstrap-samples", "seed"),
                     fit=opts.build(FitConfig, SELECT_K_FIT))
-    opts.read["level"] = sc.level
+    opts.read["level"] = LEVEL
     candidates = opts("candidates")
     _from_flags(check_candidates, candidates)
     fraction = opts("dev-fraction")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 from .schema import (
@@ -43,8 +43,8 @@ class CorpusError(ValueError):
 
 
 class ParseError(CorpusError):
-    def __init__(self, message, line=None):
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+    def __init__(self, message, line):
+        super().__init__(f"line {line}: {message}")
         self.line = line
 
 

@@ -251,8 +251,8 @@ class CorpusGraph:
                 {v.var_id: i for i, v in enumerate(variables)}))
         return graphs
 
-    def bp(self, pots: list[np.ndarray], max_iters: int = 200,
-           damping: float = 0.1, tol: float = 1e-8) -> list[PosteriorSet]:
+    def bp(self, pots: list[np.ndarray], max_iters: int, damping: float,
+           tol: float = 1e-8) -> list[PosteriorSet]:
         """Synchronous flooding sum-product, every edge state at once, with
         messages in log space.
 

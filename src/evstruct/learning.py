@@ -79,12 +79,9 @@ def _params_from_packs(params: ModelParams, schema: Schema,
             setattr(owner, attr + "rho",
                     {a: float(mat[i]) if width is None else np.array(mat[i])
                      for i, a in enumerate(annotators)})
-            if width is None:
-                setattr(owner, attr + "sigma",
-                        float(lk.update_sigma(mat[:, None])[0, 0])
-                        if len(mat) else 1.0)
-            elif len(mat):
-                setattr(owner, attr + "sigma", lk.update_sigma(mat))
+            sigma = lk.update_sigma(mat.reshape(len(mat), width or 1))
+            setattr(owner, attr + "sigma",
+                    float(sigma[0, 0]) if width is None else sigma)
             if isinstance(owner, OrdinalParams):
                 owner.cut_raw = np.array(arrays[prefix + "cut_raw"])
                 owner.recenter()
@@ -208,10 +205,10 @@ class _Group:
         and recentre ordinal cutpoints in place, as _params_from_packs
         does; padding rows of mu stay zero."""
         rho = self.arrays["rho"]
-        if rho.shape[1]:
-            self.neg_prec, self.const = _precision(
-                lk.update_sigma(rho.reshape(rho.shape[:2] + (-1,))),
-                rho.shape[1], self.n_fits)
+        self.neg_prec, self.const = _precision(
+            lk.update_sigma(rho.reshape(rho.shape[:2]
+                                        + self.neg_prec.shape[-1:])),
+            rho.shape[1], self.n_fits)
         if "cut_raw" in self.arrays:
             lk.recenter(self.arrays["cut_raw"], self.arrays["mu"], self.real)
 

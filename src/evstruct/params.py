@@ -563,11 +563,10 @@ def row_logliks(pack: _Pack, table: PropTable) -> np.ndarray:
         logp = term.family(_block(pack.arrays, term.prefix))  # (..., A, K, O)
         part = logp[..., term.ann, :, term.out]               # (rows, ..., K)
         full = len(term.rows) == len(table.elem)
-        if ll is None and full:
+        if ll is None:
+            # build_obs gives the first term every row
             ll = part
         else:
-            if ll is None:
-                ll = np.zeros((len(table.elem),) + part.shape[1:])
             # a slice where the term covers every row: a view, not a scatter
             ll[slice(None) if full else term.rows] += part
     return ll

@@ -88,7 +88,7 @@ class PropertySpec:
         return obj
 
     @staticmethod
-    def from_obj(obj: dict, entry: str = "schema entry") -> "PropertySpec":
+    def from_obj(obj: dict, entry: str) -> "PropertySpec":
         """A property from its entry in a schema file, laid out as to_obj
         writes it; raise SchemaError naming entry and a field that is
         missing or not of its JSON type."""

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .agreement import LEVEL
 from .corpus import DocumentGraph
 from .learning import FitConfig, _MStep
 from .likelihoods import logsumexp
@@ -30,7 +31,6 @@ class SelectionConfig(Ranged):
     restarts: int = setting(">= 1", 5)
     em_iters: int = setting(">= 1", 30)
     bootstrap_samples: int = setting(f">= {MIN_BOOTSTRAP}", 1000)
-    level: float = setting("in (0, 1)", 0.95)
     seed: int = setting(">= 0", 0)
     fit: FitConfig = field(default_factory=FitConfig)
 
@@ -68,8 +68,9 @@ class SelectionReport:
         }
 
     def table(self) -> str:
+        head = f"{LEVEL:.0%} diff interval"
         lines = [f"{self.kind}: chosen K = {self.chosen_k}",
-                 f"{'K':>4} {'mean dev evidence':>20} {'95% diff interval':>24}"]
+                 f"{'K':>4} {'mean dev evidence':>20} {head:>24}"]
         ci = {k: (inc, lo, hi) for inc, k, lo, hi in self.intervals}
         for k in self.candidates:
             cell = ""
@@ -184,8 +185,8 @@ def mixture_dev_evidence(fit: MixtureFit, dev: list[DocumentGraph],
 
 
 def bootstrap_diff_ci(per_item_ev_a: np.ndarray, per_item_ev_b: np.ndarray,
-                      n_boot: int = 1000, level: float = 0.95,
-                      seed: int = 0) -> tuple[float, float]:
+                      n_boot: int = 1000, seed: int = 0
+                      ) -> tuple[float, float]:
     """Percentile interval of mean(B) - mean(A) under item resampling."""
     a = np.asarray(per_item_ev_a, dtype=float)
     b = np.asarray(per_item_ev_b, dtype=float)
@@ -198,7 +199,7 @@ def bootstrap_diff_ci(per_item_ev_a: np.ndarray, per_item_ev_b: np.ndarray,
     n = len(diff)
     idx = rng.integers(0, n, size=(n_boot, n))
     means = diff[idx].mean(axis=1)
-    tail = 100.0 * (1.0 - level) / 2.0
+    tail = 100.0 * (1.0 - LEVEL) / 2.0
     lo, hi = np.percentile(means, [tail, 100.0 - tail])
     return float(lo), float(hi)
 
@@ -231,7 +232,6 @@ def select_k(train: list[DocumentGraph], dev: list[DocumentGraph], kind: str,
     for k in candidates[1:]:
         lo, hi = bootstrap_diff_ci(per_item[incumbent], per_item[k],
                                    n_boot=config.bootstrap_samples,
-                                   level=config.level,
                                    seed=config.seed + 15485863 * k)
         intervals.append((incumbent, k, lo, hi))
         if lo > 0.0:

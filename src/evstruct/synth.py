@@ -33,7 +33,6 @@ from .schema import (
 class SynthConfig(Ranged):
     inventory: TypeInventory
     schema: Schema = field(default_factory=default_schema)
-    params: Optional[ModelParams] = None   # drawn when absent
     n_docs: int = setting(">= 1", 10)
     sentences_per_doc: int = setting(">= 1", 2)
     predicates_per_sentence: int = setting(">= 1", 1)
@@ -56,8 +55,7 @@ class SynthConfig(Ranged):
                              f" exceeds the pool size {self.n_annotators}")
 
 
-def flat_schema(n_event: int = 4, n_entity: int = 3, n_role: int = 3,
-                n_rel: int = 2) -> Schema:
+def flat_schema(n_event: int = 4) -> Schema:
     """A gate-free all-binary schema.
 
     With hurdle properties, a child's presence is determined by the parent
@@ -70,9 +68,9 @@ def flat_schema(n_event: int = 4, n_entity: int = 3, n_role: int = 3,
                          PREDICATE_NODE, PropertySpec)
     props = []
     for attach, group, n in ((PREDICATE_NODE, "event", n_event),
-                             (ARGUMENT_NODE, "entity", n_entity),
-                             (PRED_ARG_EDGE, "role", n_role),
-                             (DOCUMENT_EDGE, "rel", n_rel)):
+                             (ARGUMENT_NODE, "entity", 3),
+                             (PRED_ARG_EDGE, "role", 3),
+                             (DOCUMENT_EDGE, "rel", 2)):
         for i in range(n):
             props.append(PropertySpec(name=f"{group}_prop{i}",
                                       subspace=group, attaches_to=attach,
@@ -145,7 +143,7 @@ def separated_params(schema: Schema, inventory: TypeInventory,
 
 
 def _sign_patterns(k: int, n_props: int, rng: np.random.Generator,
-                   repeat: bool = False) -> np.ndarray:
+                   repeat: bool) -> np.ndarray:
     """(k, n_props) matrix of +-1 type signatures with distinct rows and a
     large minimum pairwise Hamming distance.  Where 200 random draws find
     no distinct rows, the first k patterns of a fixed enumeration of all
@@ -261,11 +259,8 @@ def sample_corpus(config: SynthConfig):
     """
     rng = np.random.default_rng(config.seed)
     annotators = [f"ann{i}" for i in range(config.n_annotators)]
-    params = config.params
-    if params is None:
-        params = separated_params(config.schema, config.inventory, annotators,
-                                  config.separation, config.sigma_ann,
-                                  config.seed)
+    params = separated_params(config.schema, config.inventory, annotators,
+                              config.separation, config.sigma_ann, config.seed)
     inv = params.inventory
     schema = config.schema
     corpus, truth = [], {}
