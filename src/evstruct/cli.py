@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from . import analysis
 from .agreement import (
-    LEVEL, METRICS, ReliabilityMatrix, bootstrap_alpha_ci, krippendorff_alpha,
-    thresholded_alpha,
+    LEVEL, METRICS, ORDINAL_METRIC, ReliabilityMatrix, bootstrap_alpha_ci,
+    krippendorff_alpha, thresholded_alpha,
 )
 from .corpus import load_corpus, prepare_corpus, save_corpus
 from .learning import FitConfig, build_obs, e_step, fit
@@ -441,7 +441,7 @@ def _cmd_entropy(args, opts):
     return _bp_record(docs, posts)
 
 
-def _read_reliability(path) -> ReliabilityMatrix:
+def _read_reliability(path, metric) -> ReliabilityMatrix:
     """Long-format TSV: item, annotator, value[, confidence]; header row."""
     table = ReliabilityMatrix()
     with open(path) as fh:
@@ -470,6 +470,13 @@ def _read_reliability(path) -> ReliabilityMatrix:
             except ValueError:
                 pass
             try:
+                if metric == ORDINAL_METRIC:
+                    float(parts[2])
+            except ValueError:
+                raise CliError(f"{path}:{lineno}: value {parts[2]!r} is not "
+                               f"a number, which --metric ordinal needs",
+                               EXIT_DATA) from None
+            try:
                 conf = float(parts[3]) if has_conf and len(parts) > 3 else None
             except ValueError:
                 raise CliError(f"{path}:{lineno}: confidence {parts[3]!r} "
@@ -485,7 +492,7 @@ def _read_reliability(path) -> ReliabilityMatrix:
 def _cmd_agreement(args, opts):
     thresholds, metric, bootstrap, seed = map(
         opts, ("thresholds", "metric", "bootstrap", "seed"))
-    table = _on_path(_read_reliability, args.table)
+    table = _on_path(_read_reliability, args.table, metric)
     point = krippendorff_alpha(table, metric)
     result = {"metric": metric,
               "alpha": point if point is not None else "undefined"}

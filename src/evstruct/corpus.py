@@ -429,10 +429,10 @@ def _bad_value(doc, spec, value) -> CorpusError:
 
 
 def _check_span(doc: DocumentGraph, spec, rec: AnnotationRecord) -> None:
-    """A temporal answer: four finite numbers that normalize."""
+    """A temporal answer: four finite numbers, not bools, that normalize."""
     v = rec.value
     if not (isinstance(v, (list, tuple)) and len(v) == 4
-            and all(isinstance(x, (int, float)) and math.isfinite(x)
+            and all(type(x) in (int, float) and math.isfinite(x)
                     for x in v)):
         raise _bad_value(doc, spec, v)
     try:

@@ -1,5 +1,6 @@
 """End-to-end command-line interface behavior."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,10 +14,13 @@ from evstruct import cli
 from evstruct.cli import (
     CONFIG_ENV_VAR, EXIT_COMPUTE, EXIT_DATA, EXIT_USAGE, run,
 )
+from evstruct.learning import FitConfig
 from evstruct.schema import (
     CATEGORICAL, DOCUMENT_EDGE, PRED_ARG_EDGE, PropertySpec, Schema,
     default_schema,
 )
+from evstruct.selection import SelectionConfig
+from evstruct.synth import SynthConfig
 
 
 def sha256(path):
@@ -1280,3 +1284,81 @@ def test_agreement_on_string_labels(tmp_path):
     assert run(["agreement", "--table", str(table), "--metric", "nominal",
                 "--out", str(out)]) == 0
     assert json.loads((out / "agreement.json").read_text())["alpha"] == 1.0
+
+
+def test_temporal_value_holding_bools_is_data_error(tmp_path, capsys):
+    # a bool passed the temporal-tuple check, and the prepared corpus kept it
+    data = tmp_path / "data"
+    assert run(["synth", "--out", str(data), "--docs", "6", "--sentences",
+                "2", "--predicates", "2", "--arguments", "1", "--k-event",
+                "2", "--k-entity", "2", "--k-role", "2", "--k-rel", "2",
+                "--seed", "0"]) == 0
+    docs = [json.loads(line) for line in
+            (data / "corpus.jsonl").read_text().splitlines()]
+    doc, ann = next((doc, ann) for doc in docs for ann in doc["annotations"]
+                    if ann["property"] == "temporal_relation")
+    ann["value"] = [False, 0.2, True, 1.0]
+    corpus = tmp_path / "bools.jsonl"
+    corpus.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    capsys.readouterr()
+    assert run(["ingest", "--corpus", str(corpus), "--out",
+                str(tmp_path / "out")]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {doc['id']}: value [False, 0.2, True, 1.0] does not "
+        f"match temporal-tuple property temporal_relation\n")
+
+
+def _value_table(path, values):
+    rows = ["item\tannotator\tvalue"]
+    for k, value in enumerate(values):
+        rows += [f"i{k}\tx\t{value}", f"i{k}\ty\t{value}"]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_ordinal_agreement_needs_numeric_values(tmp_path, capsys):
+    # numpy's conversion error named neither the file nor the line
+    table = _value_table(tmp_path / "words.tsv", ["low", "high", "low"])
+    capsys.readouterr()
+    assert run(["agreement", "--table", str(table), "--metric", "ordinal",
+                "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {table}:2: value 'low' is not a number, which --metric "
+        f"ordinal needs\n")
+    out = tmp_path / "nominal"
+    assert run(["agreement", "--table", str(table), "--metric", "nominal",
+                "--out", str(out)]) == 0
+    assert json.loads((out / "agreement.json").read_text())["alpha"] == 1.0
+
+
+def test_ordinal_agreement_reads_numeric_strings(tmp_path):
+    table = _value_table(tmp_path / "halves.tsv", ["2.5", "1", "3.5"])
+    out = tmp_path / "out"
+    assert run(["agreement", "--table", str(table), "--metric", "ordinal",
+                "--out", str(out)]) == 0
+    assert json.loads((out / "agreement.json").read_text())["alpha"] == 1.0
+
+
+def test_option_defaults_match_their_dataclass_fields():
+    # --separation has defaulted to 4.0 against SynthConfig's 2.0 from the
+    # start; changing either default would change synthesized corpora
+    exceptions = {("separation", SynthConfig)}
+    assert cli.OPTIONS["separation"].default == 4.0
+    assert SynthConfig.separation == 2.0
+    checked = set()
+    for cls in (FitConfig, SynthConfig, SelectionConfig):
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                    if f.default is not dataclasses.MISSING}
+        for name, opt in cli.OPTIONS.items():
+            field = (opt.field or name.removeprefix("no-")).replace("-", "_")
+            if field not in defaults or (name, cls) in exceptions:
+                continue
+            default = opt.default
+            if opt.type is bool and name.startswith("no-"):
+                default = not default
+            assert default == defaults[field], (name, cls.__name__)
+            checked.add(name)
+    # each way an option reaches a field: Option.field, its own name, and
+    # a --no-X switch
+    assert {"em-iters", "mixture-em-iters", "bp-damping", "sigma-ann",
+            "restarts", "no-learn-rho"} <= checked

@@ -102,7 +102,7 @@ def reference_check_value(doc, spec, rec):
             and 1 <= v <= spec.n_levels
     elif spec.response == TEMPORAL:
         ok = isinstance(v, (list, tuple)) and len(v) == 4 \
-            and all(isinstance(x, (int, float)) and math.isfinite(x)
+            and all(type(x) in (int, float) and math.isfinite(x)
                     for x in v)
     else:
         ok = False
